@@ -1,13 +1,16 @@
 """Chaos runner: N randomized scenarios, zero tolerated violations.
 
-Each scenario wires the Figure 1 chain to a seeded random traffic
-spike, puts the fault-tolerant :class:`HardenedController` in charge
-(stale-telemetry suppression, per-action timeouts, retry/rollback, and
-a probabilistic mid-transfer migration-failure hook), applies a seeded
+Each scenario is a :class:`~repro.chaos.scenario.SoakCase` drawn from
+its run seed — a random traffic spike plus a seeded
 :class:`~repro.chaos.schedule.ChaosSchedule` of crashes, brownouts,
-PCIe flaps, and telemetry dropouts, runs to full drain, and checks the
-:mod:`~repro.chaos.invariants`.  ``python -m repro chaos`` drives it
-from the command line.
+PCIe flaps, and telemetry dropouts — wired by the same
+:meth:`~repro.chaos.scenario.FaultScenario.wire` the soak fuzzer uses:
+the Figure 1 chain under the fault-tolerant
+:class:`HardenedController` (stale-telemetry suppression, per-action
+timeouts, retry/rollback, and a probabilistic mid-transfer
+migration-failure hook).  It runs to full drain and is checked against
+the :mod:`~repro.chaos.invariants`.  ``python -m repro chaos`` drives
+it from the command line.
 
 With ``ChaosConfig(resilient=True)`` the scenario puts a
 :class:`~repro.resilience.ResilientController` in charge instead and
@@ -26,30 +29,21 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.operator import HardenedController, HardeningConfig
-from ..core.reverse import PullbackConfig
 from ..errors import ConfigurationError
 from ..exec import (Campaign, FaultInjectedCampaign, FaultPlan, RunRequest,
                     SupervisionPolicy, make_executor, register_campaign,
                     run_campaign, seed_for)
-from ..exec.errinfo import exception_payload
 from ..harness.scenarios import figure1
-from ..migration.executor import (OUTCOME_SUCCEEDED, ProbabilisticFailure,
-                                  RetryPolicy)
-from ..resilience.controller import ResilienceConfig, ResilientController
-from ..sim.faults import FaultInjector
-from ..sim.runner import SimulationResult, SimulationRunner
-from ..traffic.packet import FixedSize
-from ..traffic.patterns import ProfiledArrivals, RateProfile, spike
-from ..units import gbps, usec
+from ..migration.executor import OUTCOME_SUCCEEDED
+from ..units import gbps
 from .invariants import (Violation, check_invariants,
                          check_resilience_invariants)
-from .schedule import ChaosConfig, ChaosFault, ChaosSchedule
+from .scenario import FaultScenario, SoakCase, run_guarded, worker_failure
+from .schedule import ChaosConfig, ChaosSchedule
 
 #: Packet size used by chaos scenarios (larger than the paper's 256 B
 #: sweep point to keep the event count per scenario moderate).
 _PACKET_BYTES = 512
-_MONITOR_PERIOD_S = 0.002
 
 
 @dataclass
@@ -77,6 +71,15 @@ class ChaosRunResult:
     def ok(self) -> bool:
         """Whether the scenario upheld every invariant."""
         return not self.violations
+
+    @classmethod
+    def failed(cls, seed: int, schedule: ChaosSchedule,
+               violation: Violation) -> "ChaosRunResult":
+        """A zeroed result for a scenario that never finished."""
+        return cls(seed=seed, schedule=schedule, violations=[violation],
+                   injected=0, delivered=0, dropped=0, fault_losses=0,
+                   migrations=0, attempts=0, plans_aborted=0,
+                   stale_ticks=0)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form for journal records.
@@ -168,39 +171,11 @@ class ChaosReport:
 
 
 @dataclass
-class ChaosScenario:
-    """One fully wired scenario: faults applied, not yet run.
+class ChaosScenario(FaultScenario):
+    """One wired chaos run: a :class:`SoakCase` drawn from the run seed,
+    plus the schedule its report shows."""
 
-    Implements the :class:`repro.exec.Scenario` protocol
-    (``prepare``/``run``/``collect``).  Exposed so checkpoint tests and
-    the crash-resume check can build the *identical* seeded scenario
-    the campaign would run, snapshot it mid-flight, and resume it in a
-    fresh process.
-    """
-
-    seed: int
     schedule: ChaosSchedule
-    sim: SimulationRunner
-    hardened: HardenedController
-    resilient: Optional[ResilientController]
-    injector: FaultInjector
-    #: Set by :meth:`run`; consumed by :meth:`collect`.
-    result: Optional[SimulationResult] = None
-
-    def prepare(self) -> None:
-        """Inject the seeded workload and arm the monitor (idempotent)."""
-        self.sim.prepare()
-
-    def run(self) -> SimulationResult:
-        """Run the workload, then drain the engine to exhaustion.
-
-        The drain matters: fault restores, retry backoffs, and packet
-        events past the horizon must all land before the invariant
-        checks inspect the end state.
-        """
-        self.result = self.sim.run()
-        self.sim.engine.run()
-        return self.result
 
     def collect(self) -> ChaosRunResult:
         """Aggregate the drained end state and check every invariant."""
@@ -219,7 +194,7 @@ class ChaosScenario:
         records = hardened.executor.records if hardened.executor else []
         outcomes = hardened.executor.outcomes if hardened.executor else []
         return ChaosRunResult(
-            seed=self.seed,
+            seed=self.case.seed,
             schedule=self.schedule,
             violations=violations,
             injected=self.result.injected,
@@ -304,97 +279,43 @@ class ChaosRunner:
     def run_one(self, run_seed: int) -> ChaosRunResult:
         """One fully seeded scenario: traffic, faults, control, checks.
 
-        A scenario that *raises* is itself recorded as a violation
-        (``scenario-error``) instead of aborting the campaign — a chaos
-        harness that crashes on the bug it was built to surface would
-        be reporting exit code luck, not invariants.
+        A scenario that raises is recorded as a ``scenario-error``
+        violation (:func:`~repro.chaos.scenario.run_guarded`) instead of
+        aborting the campaign.
         """
-        schedule = ChaosSchedule.generate(
+        schedule = self.schedule_for(run_seed)
+        return run_guarded(
+            lambda: self.build_scenario(run_seed, schedule),
+            lambda violation: ChaosRunResult.failed(run_seed, schedule,
+                                                    violation))
+
+    def schedule_for(self, run_seed: int) -> ChaosSchedule:
+        """The seeded fault schedule of run ``run_seed``."""
+        return ChaosSchedule.generate(
             [nf.name for nf in figure1().chain], self.config,
             seed=run_seed)
-        try:
-            return self._execute(run_seed, schedule)
-        # A faithfully-reporting top-level boundary: the crash becomes a
-        # recorded violation, never a swallowed one.
-        except Exception as exc:  # repro: noqa[EXC402]
-            return ChaosRunResult(
-                seed=run_seed, schedule=schedule,
-                violations=[Violation(
-                    "scenario-error",
-                    f"scenario raised {type(exc).__name__}: {exc}",
-                    data=exception_payload(exc))],
-                injected=0, delivered=0, dropped=0, fault_losses=0,
-                migrations=0, attempts=0, plans_aborted=0, stale_ticks=0)
-
-    def _profile(self, rng: random.Random,
-                 overloads: List[ChaosFault]) -> RateProfile:
-        """The seeded spike, overridden inside any overload windows."""
-        duration = self.config.duration_s
-        base = spike(
-            base_bps=gbps(rng.uniform(1.0, 1.4)),
-            peak_bps=gbps(rng.uniform(1.6, 2.1)),
-            start_s=0.2 * duration,
-            duration_s=0.4 * duration)
-        if not overloads:
-            return base
-
-        def profile(t_s: float) -> float:
-            rate = base(t_s)
-            for window in overloads:
-                if window.at_s <= t_s < window.at_s + window.duration_s:
-                    rate = max(rate, window.magnitude)
-            return rate
-
-        return profile
 
     def build_scenario(self, run_seed: int,
                        schedule: Optional[ChaosSchedule] = None
                        ) -> ChaosScenario:
-        """Wire one seeded scenario, faults applied but not yet run."""
-        if schedule is None:
-            schedule = ChaosSchedule.generate(
-                [nf.name for nf in figure1().chain], self.config,
-                seed=run_seed)
-        rng = random.Random(run_seed)
-        server = figure1().build_server()
-        duration = self.config.duration_s
-        profile = self._profile(rng, [f for f in schedule.faults
-                                      if f.kind == "overload"])
-        generator = ProfiledArrivals(profile, FixedSize(_PACKET_BYTES),
-                                     duration_s=duration, seed=run_seed,
-                                     jitter=False)
-        hardened = HardenedController(
-            config=HardeningConfig(
-                cooldown_s=2 * _MONITOR_PERIOD_S,
-                flap_damp_s=0.01,
-                migration_budget=8,
-                pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
-                telemetry_stale_s=1.5 * _MONITOR_PERIOD_S,
-                action_timeout_s=0.01,
-                retry=RetryPolicy(max_attempts=3,
-                                  backoff_base_s=usec(200.0))),
-            failure_hook=ProbabilisticFailure(
-                self.config.migration_failure_rate, seed=run_seed))
-        resilient: Optional[ResilientController] = None
-        controller: object = hardened
-        if self.config.resilient:
-            resilient = ResilientController(hardened, ResilienceConfig())
-            controller = resilient
-        sim = SimulationRunner(server, generator, controller,
-                               monitor_period_s=_MONITOR_PERIOD_S)
-        injector = FaultInjector(sim.network, sim.engine, seed=run_seed)
-        schedule.apply(injector)
-        return ChaosScenario(seed=run_seed, schedule=schedule, sim=sim,
-                             hardened=hardened, resilient=resilient,
-                             injector=injector)
+        """Wire one seeded scenario, faults applied but not yet run.
 
-    def _execute(self, run_seed: int,
-                 schedule: ChaosSchedule) -> ChaosRunResult:
-        """Build → prepare → run → collect, the Scenario protocol."""
-        scenario = self.build_scenario(run_seed, schedule)
-        scenario.prepare()
-        scenario.run()
-        return scenario.collect()
+        The run is a :class:`SoakCase`: its spike rates are drawn from
+        ``random.Random(run_seed)``, its faults are the seeded schedule,
+        and the rest comes from the config.
+        """
+        if schedule is None:
+            schedule = self.schedule_for(run_seed)
+        rng = random.Random(run_seed)
+        case = SoakCase(
+            seed=run_seed, duration_s=self.config.duration_s,
+            packet_bytes=_PACKET_BYTES,
+            base_bps=gbps(rng.uniform(1.0, 1.4)),
+            peak_bps=gbps(rng.uniform(1.6, 2.1)),
+            resilient=self.config.resilient,
+            migration_failure_rate=self.config.migration_failure_rate,
+            faults=tuple(schedule.faults))
+        return ChaosScenario.wire(case, schedule=schedule)
 
 
 @register_campaign
@@ -444,17 +365,9 @@ class ChaosCampaign(Campaign):
                       details: Optional[Dict[str, object]] = None
                       ) -> Dict[str, object]:
         """Crash isolation: a dead worker's run is itself a violation."""
-        schedule = ChaosSchedule.generate(
-            [nf.name for nf in figure1().chain], self.runner.config,
-            seed=request.seed)
-        return ChaosRunResult(
-            seed=request.seed, schedule=schedule,
-            violations=[Violation(
-                "scenario-error", f"worker failed: {error}",
-                data=details)],
-            injected=0, delivered=0, dropped=0, fault_losses=0,
-            migrations=0, attempts=0, plans_aborted=0,
-            stale_ticks=0).to_dict()
+        return ChaosRunResult.failed(
+            request.seed, self.runner.schedule_for(request.seed),
+            worker_failure(error, details)).to_dict()
 
     def end_record(self, payloads: List[Dict[str, object]]
                    ) -> Dict[str, object]:

@@ -11,7 +11,7 @@ NF crashes (including repeated crashes of the same NF), device
 brownouts, PCIe link flaps, and telemetry dropouts.  Two resilience
 kinds are off by default: permanent SmartNIC death (``device-kill``)
 and sustained offered-load overload windows (``overload``, realised by
-the chaos runner's traffic profile rather than the injector).
+the scenario's traffic profile rather than the injector).
 Migration failures are injected separately through the executor's
 failure hook (:class:`repro.migration.executor.ProbabilisticFailure`)
 because they strike migration *attempts*, not wall-clock times.
@@ -205,34 +205,6 @@ class ChaosSchedule:
         faults.sort(key=lambda f: f.at_s)
         return cls(seed=seed, config=config, faults=faults)
 
-    def apply(self, injector: FaultInjector) -> List[FaultEvent]:
-        """Install every scheduled fault on ``injector``."""
-        events = []
-        for fault in self.faults:
-            if fault.kind == "crash":
-                events.append(injector.crash_nf(
-                    fault.nf_name, fault.at_s, fault.duration_s))
-            elif fault.kind == "brownout":
-                events.append(injector.brownout(
-                    fault.device, fault.at_s, fault.duration_s,
-                    fault.magnitude))
-            elif fault.kind == "pcie-flap":
-                events.append(injector.pcie_flap(
-                    fault.at_s, fault.duration_s, fault.magnitude))
-            elif fault.kind == "telemetry-dropout":
-                events.append(injector.telemetry_dropout(
-                    fault.at_s, fault.duration_s))
-            elif fault.kind == "device-kill":
-                events.append(injector.kill_device(fault.device, fault.at_s))
-            elif fault.kind == "overload":
-                # Realised by the runner's traffic profile, not the
-                # injector: an overload is offered load, not a fault in
-                # the data plane.
-                continue
-            else:  # pragma: no cover - generate() only emits the above
-                raise ConfigurationError(f"unknown fault kind {fault.kind!r}")
-        return events
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form for journal records."""
         return {
@@ -261,3 +233,33 @@ class ChaosSchedule:
             lines.append(f"{as_msec(fault.at_s):7.2f}ms  {fault.kind:<18} "
                          f"{target:<10} {as_msec(fault.duration_s):.2f}ms")
         return "\n".join(lines)
+
+
+def apply_faults(faults: Sequence[ChaosFault],
+                 injector: FaultInjector) -> List[FaultEvent]:
+    """Install ``faults`` on ``injector``; overloads are skipped."""
+    events = []
+    for fault in faults:
+        if fault.kind == "crash":
+            events.append(injector.crash_nf(
+                fault.nf_name, fault.at_s, fault.duration_s))
+        elif fault.kind == "brownout":
+            events.append(injector.brownout(
+                fault.device, fault.at_s, fault.duration_s,
+                fault.magnitude))
+        elif fault.kind == "pcie-flap":
+            events.append(injector.pcie_flap(
+                fault.at_s, fault.duration_s, fault.magnitude))
+        elif fault.kind == "telemetry-dropout":
+            events.append(injector.telemetry_dropout(
+                fault.at_s, fault.duration_s))
+        elif fault.kind == "device-kill":
+            events.append(injector.kill_device(fault.device, fault.at_s))
+        elif fault.kind == "overload":
+            # Realised by the runner's traffic profile, not the
+            # injector: an overload is offered load, not a fault in
+            # the data plane.
+            continue
+        else:  # pragma: no cover - generate() only emits the above
+            raise ConfigurationError(f"unknown fault kind {fault.kind!r}")
+    return events

@@ -34,14 +34,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
-from ..core.operator import HardenedController
+from ..core.operator import HardenedController, HardeningConfig
+from ..core.reverse import PullbackConfig
 from ..errors import MigrationError
-from ..migration.executor import (OUTCOME_SUCCEEDED, MigrationExecutor,
-                                  PlanOutcome)
+from ..migration.executor import (OUTCOME_SUCCEEDED, FailureHook,
+                                  MigrationExecutor, PlanOutcome,
+                                  RetryPolicy)
 from ..sim.engine import Engine
 from ..sim.network import ChainNetwork
 from ..sim.nfinstance import NFStation
 from ..sim.runner import TickContext
+from ..units import usec
 from .degradation import (DEFAULT_PRIORITY_CLASSES, DegradationConfig,
                           DegradationLadder, IngressShedder, PriorityClass)
 from .health import HealthConfig, HealthState, HealthTracker
@@ -50,6 +53,32 @@ from .recovery import (RecoveryConfig, RecoveryOutcome, StandbyAwareCostModel,
 
 #: EMA weight for the true-offered-rate estimator (per control pulse).
 _OFFERED_EMA_ALPHA = 0.5
+
+#: Monitor period of the fault scenarios (chaos, soak, and the canned
+#: resilience stories); the hardening windows below are sized from it.
+MONITOR_PERIOD_S = 0.002
+
+
+def build_hardened_controller(migration_budget: int = 8,
+                              failure_hook: Optional[FailureHook] = None
+                              ) -> HardenedController:
+    """The hardened PAM loop every fault scenario runs.
+
+    Stale-telemetry suppression, per-action timeouts, and
+    retry/rollback tuned to :data:`MONITOR_PERIOD_S`; ``failure_hook``
+    injects mid-transfer migration failures.
+    """
+    return HardenedController(
+        config=HardeningConfig(
+            cooldown_s=2 * MONITOR_PERIOD_S,
+            flap_damp_s=0.01,
+            migration_budget=migration_budget,
+            pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
+            telemetry_stale_s=1.5 * MONITOR_PERIOD_S,
+            action_timeout_s=0.01,
+            retry=RetryPolicy(max_attempts=3,
+                              backoff_base_s=usec(200.0))),
+        failure_hook=failure_hook)
 
 
 def device_entity(kind: DeviceKind) -> str:
@@ -447,6 +476,33 @@ class ResilientController:
         recovery.completed_s = now_s
         recovery.status = "degraded" if recovery.unrecoverable \
             else "completed"
+
+    def abandon_stranded(self, now_s: float) -> None:
+        """Abandon NFs whose packets are stranded on a dead device.
+
+        For the end of a drained run.  A device killed shortly before
+        the last monitor tick is never declared failed by the watchdog,
+        so no evacuation (and no abandonment) runs; packets a
+        rolled-back migration re-admitted into the corpse's queue would
+        then wait forever.  Each such device's recovery is abandoned
+        here instead, counting those packets as abandoned drops.
+        """
+        network = self._network
+        if network is None or self._context is None:
+            return
+        for kind in (DeviceKind.SMARTNIC, DeviceKind.CPU):
+            dead = self._context.server.device(kind)
+            if not dead.is_failed or not any(
+                    station.device is dead
+                    and (len(station.queue) or station.buffered)
+                    for station in network.stations.values()):
+                continue
+            recovery = self._active.get(kind)
+            if recovery is None:
+                recovery = RecoveryOutcome(device=kind, detected_s=now_s)
+                self._active[kind] = recovery
+                self.recoveries.append(recovery)
+            self._abandon(recovery, now_s)
 
     def _abandon(self, recovery: RecoveryOutcome, now_s: float) -> None:
         """Terminal failure of the recovery itself: stop losslessly-ish.

@@ -26,11 +26,8 @@ from ..chain.nf import DeviceKind
 from ..checkpoint import (CheckpointManager, SimulationSnapshot,
                           SnapshotRegistry, resume_simulation,
                           simulation_registry)
-from ..core.operator import HardenedController, HardeningConfig
-from ..core.reverse import PullbackConfig
 from ..errors import ConfigurationError
 from ..harness.scenarios import figure1
-from ..migration.executor import RetryPolicy
 from ..sim.faults import FaultInjector
 from ..sim.runner import SimulationResult, SimulationRunner, TickContext
 from ..telemetry.recorder import TimeSeriesRecorder
@@ -39,11 +36,11 @@ from ..telemetry.resilience import (ResilienceStats,
                                     snapshot_resilience)
 from ..traffic.packet import FixedSize
 from ..traffic.patterns import ProfiledArrivals, constant, spike
-from ..units import gbps, usec
-from .controller import ResilienceConfig, ResilientController
+from ..units import gbps
+from .controller import (MONITOR_PERIOD_S, ResilienceConfig,
+                         ResilientController, build_hardened_controller)
 
 _PACKET_BYTES = 512
-_MONITOR_PERIOD_S = 0.002
 
 #: Offered load no placement the planner can navigate to carries (the
 #: best border-move split sustains 2.0 Gbps; see
@@ -95,15 +92,8 @@ class _RecordingController:
 def build_resilient_controller(
         config: ResilienceConfig = ResilienceConfig()) -> ResilientController:
     """The scenarios' hardened-PAM-plus-resilience control plane."""
-    inner = HardenedController(config=HardeningConfig(
-        cooldown_s=2 * _MONITOR_PERIOD_S,
-        flap_damp_s=0.01,
-        migration_budget=16,
-        pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
-        telemetry_stale_s=1.5 * _MONITOR_PERIOD_S,
-        action_timeout_s=0.01,
-        retry=RetryPolicy(max_attempts=3, backoff_base_s=usec(200.0))))
-    return ResilientController(inner, config)
+    return ResilientController(
+        build_hardened_controller(migration_budget=16), config)
 
 
 class ResilienceScenario:
@@ -132,7 +122,7 @@ class ResilienceScenario:
         self.sim = SimulationRunner(
             server, generator,
             _RecordingController(controller, self.recorder),
-            monitor_period_s=_MONITOR_PERIOD_S)
+            monitor_period_s=MONITOR_PERIOD_S)
         self.injector: Optional[FaultInjector] = None
         if kill_device is not None:
             self.injector = FaultInjector(self.sim.network,

@@ -7,9 +7,10 @@ faults:
 * **NF crash** — a station fails at a chosen time; packets reaching it
   are dropped (a crashed NF forwards nothing) until a restart after
   ``downtime_s``.  Restart discards whatever sat in the queue, like a
-  process respawn.  The same NF can crash and restart any number of
-  times: one idempotent accept-wrapper is installed per station, and
-  overlapping crash windows extend the downtime rather than stacking.
+  process respawn.  The crash is explicit station state
+  (:attr:`NFStation.crash`), so the same NF can crash and restart any
+  number of times, and overlapping crash windows extend the downtime
+  rather than stacking.
 * **Random loss** — Bernoulli packet loss at ingress (a flaky optic or
   overrun RX ring), seeded for reproducibility.  Installing it twice on
   one network is rejected — stacked wrappers would silently compound
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..chain.nf import DeviceKind
 from ..checkpoint.snapshot import rng_state_from_json, rng_state_to_json
@@ -76,15 +77,9 @@ class FaultInjector:
         self.engine = engine
         self.rng = random.Random(seed)
         self.events: List[FaultEvent] = []
-        self._failed: set = set()
         #: Latest restart time per NF, so overlapping crash windows
         #: extend downtime instead of restoring early.
         self._down_until: Dict[str, float] = {}
-        #: Active crash event per NF (receives the drop accounting).
-        self._active_crash: Dict[str, FaultEvent] = {}
-        #: Original ``accept`` per wrapped station — exactly one wrapper
-        #: is ever installed per station, no matter how often it crashes.
-        self._wrapped_accepts: Dict[str, Callable[[Packet], bool]] = {}
         self._loss_installed = False
         #: Latest brownout end per device kind.
         self._brownout_until: Dict[DeviceKind, float] = {}
@@ -121,58 +116,33 @@ class FaultInjector:
                        control=True)
         return event
 
-    def _install_crash_wrapper(self, nf_name: str) -> None:
-        """Wrap the station's accept() once; the wrapper consults the
-        failed-set on every packet, so repeated crashes reuse it."""
-        if nf_name in self._wrapped_accepts:
-            return
-        station = self.network.stations[nf_name]
-        original_accept = station.accept
-        self._wrapped_accepts[nf_name] = original_accept
-
-        def dropping_accept(packet: Packet) -> bool:
-            if nf_name in self._failed:
-                # Returning False lets ChainNetwork._arrive do the
-                # drop accounting, exactly like a queue overflow.
-                packet.dropped_at = nf_name
-                event = self._active_crash.get(nf_name)
-                if event is not None:
-                    event.packets_lost += 1
-                return False
-            return original_accept(packet)
-
-        station.accept = dropping_accept  # type: ignore[method-assign]
-
     def _fail(self, nf_name: str, event: FaultEvent) -> None:
         until = event.until_s if event.until_s is not None else 0.0
         self._down_until[nf_name] = max(self._down_until.get(nf_name, 0.0),
                                         until)
-        self._active_crash[nf_name] = event
-        if nf_name in self._failed:
-            # Already down (overlapping windows): the new event just
-            # extends the outage, no queue left to lose.
-            return
-        self._failed.add(nf_name)
         station = self.network.stations[nf_name]
+        already_down = station.crash is not None
+        # The latest crash receives the drop accounting from now on.
+        station.crash = event
+        if already_down:
+            # Overlapping windows: the new event just extends the
+            # outage, no queue left to lose.
+            return
         # A crash loses the queue contents: drain and count them lost.
         lost = station.queue.drain()
         for packet, __ in lost:
             packet.dropped_at = nf_name
             self.network.dropped.append(packet)
         event.packets_lost += len(lost)
-        self._install_crash_wrapper(nf_name)
 
     def _restore(self, nf_name: str) -> None:
         if self.engine.now_s < self._down_until.get(nf_name, 0.0) - 1e-12:
             return  # a later overlapping crash still holds the NF down
-        self._failed.discard(nf_name)
-        self._active_crash.pop(nf_name, None)
-        # The wrapped accept() checks _failed, so nothing else to undo:
-        # once the name leaves the failed set, packets flow again.
+        self.network.stations[nf_name].crash = None
 
     def is_failed(self, nf_name: str) -> bool:
         """Whether ``nf_name`` is currently down."""
-        return nf_name in self._failed
+        return self.network.stations[nf_name].crash is not None
 
     # -- random loss ------------------------------------------------------------
 
@@ -213,8 +183,8 @@ class FaultInjector:
         PCIe/DMA engines survive (they are separate silicon), which is
         what lets the resilience layer evacuate the hosted NFs over PCIe
         afterwards.  At kill time the queues of every hosted, non-paused
-        station are lost (counted on the event), and from then on the
-        network drops arrivals to stations still bound to the corpse.
+        station are lost (counted on the event), and from then on
+        stations still bound to the corpse refuse arrivals.
         Killing an already-dead device is a no-op beyond the record.
         """
         event = FaultEvent(kind="device-kill", nf_name=None, at_s=at_s,
@@ -375,7 +345,9 @@ class FaultInjector:
         """
         return {
             "rng": list(rng_state_to_json(self.rng.getstate())),
-            "failed": sorted(self._failed),
+            "failed": sorted(name for name, station
+                             in self.network.stations.items()
+                             if station.crash is not None),
             "down_until": dict(sorted(self._down_until.items())),
             "brownout_until": {kind.value: until for kind, until in
                                sorted(self._brownout_until.items(),
@@ -393,7 +365,14 @@ class FaultInjector:
     def restore_state(self, state: dict) -> None:
         """Re-impose RNG and fault-window state after replay."""
         self.rng.setstate(rng_state_from_json(state["rng"]))
-        self._failed = set(state["failed"])
+        failed = set(state["failed"])
+        for name, station in self.network.stations.items():
+            if name not in failed:
+                station.crash = None
+            elif station.crash is None:
+                # Down at capture, with no replayed crash to charge.
+                station.crash = FaultEvent(kind="crash", nf_name=name,
+                                           at_s=self.engine.now_s)
         self._down_until = dict(state["down_until"])
         self._brownout_until = {DeviceKind(kind): until for kind, until
                                 in state["brownout_until"].items()}

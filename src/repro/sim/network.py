@@ -186,7 +186,6 @@ class ChainNetwork:
         engine = self.engine
         by_seq = self._latency_by_seq
         dropped_append = self.dropped.append
-        nf_name = station.profile.name
 
         def forward_from_wire(packet: Packet) -> None:
             if station.device.kind is not DeviceKind.SMARTNIC:
@@ -198,9 +197,6 @@ class ChainNetwork:
                         f"toward {station.profile.name!r}")
                 by_seq[packet.seq].pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
-            elif station.device._failed and not station._paused:
-                packet.dropped_at = nf_name
-                dropped_append(packet)
             elif not station.accept(packet):
                 dropped_append(packet)
 
@@ -211,13 +207,9 @@ class ChainNetwork:
         frame, with the station (stable across migrations) and the drop
         sink bound at wiring time."""
         dropped_append = self.dropped.append
-        nf_name = station.profile.name
 
         def arrive(packet: Packet) -> None:
-            if station.device._failed and not station._paused:
-                packet.dropped_at = nf_name
-                dropped_append(packet)
-            elif not station.accept(packet):
+            if not station.accept(packet):
                 dropped_append(packet)
 
         return arrive
@@ -251,13 +243,6 @@ class ChainNetwork:
         # changed while the packet was in flight over PCIe (migration
         # completed); that is fine — the packet is delivered to wherever
         # the NF lives *now*, matching flow re-steering in UNO/OpenNF.
-        if station.device._failed and not station._paused:
-            # The hosting device died and nobody has paused the station
-            # for evacuation yet: the packet has nowhere to go.  (Paused
-            # stations buffer loss-free while the migration runs.)
-            packet.dropped_at = station.profile.name
-            self.dropped.append(packet)
-            return
         if not station.accept(packet):
             self.dropped.append(packet)
 
@@ -305,7 +290,6 @@ class ChainNetwork:
         engine = self.engine
         by_seq = self._latency_by_seq
         dropped_append = self.dropped.append
-        next_nf_name = next_station.profile.name
 
         def complete(packet: Packet, nf_name: str, now_s: float) -> None:
             packet.hop = hop
@@ -318,9 +302,6 @@ class ChainNetwork:
                         f"toward {next_station.profile.name!r}")
                 by_seq[packet.seq].pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
-            elif next_station.device._failed and not next_station._paused:
-                packet.dropped_at = next_nf_name
-                dropped_append(packet)
             elif not next_station.accept(packet):
                 dropped_append(packet)
 

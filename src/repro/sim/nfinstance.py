@@ -15,7 +15,7 @@ device.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from ..chain.nf import NFProfile
 from ..devices.device import Device
@@ -24,6 +24,9 @@ from ..traffic.packet import Packet
 from .engine import Engine
 from .latency import LatencyLedger
 from .queues import PacketQueue
+
+if TYPE_CHECKING:
+    from .faults import FaultEvent
 
 #: Signature of the completion callback the network installs:
 #: (packet, nf_name, completion_time_s) -> None
@@ -67,6 +70,11 @@ class NFStation:
         #: the server is allowed to run on already-readmitted packets.
         self._draining = False
         self._pause_buffer: List[Tuple[Packet, float]] = []
+        #: The crash holding this NF down, or ``None`` while it runs: a
+        #: crashed station refuses every packet and charges it to the
+        #: crash's ``packets_lost`` (set by
+        #: :class:`~repro.sim.faults.FaultInjector`).
+        self.crash: Optional[FaultEvent] = None
         self.served_packets: int = 0
         self.served_bytes: int = 0
         self.filtered_packets: int = 0
@@ -100,14 +108,31 @@ class NFStation:
     # -- data path -----------------------------------------------------------
 
     def accept(self, packet: Packet) -> bool:
-        """Packet arrives at this NF now.  Returns False when dropped."""
+        """Packet arrives at this NF now.  Returns False when dropped.
+
+        The one admission decision for the station: a packet is refused
+        while the NF is crashed or while its hosting device is dead and
+        nobody has paused the station for evacuation yet (paused
+        stations buffer loss-free while the migration runs).
+        """
+        crash = self.crash
+        if crash is not None or self.device._failed:
+            if self.device._failed and not self._paused:
+                # The hosting device died: the packet has nowhere to go.
+                packet.dropped_at = self.profile.name
+                return False
+            if crash is not None:
+                # A crashed NF forwards nothing.
+                packet.dropped_at = self.profile.name
+                crash.packets_lost += 1
+                return False
         now = self.engine.now_s
         if self._paused:
             # Loss-free migration: buffer instead of dropping.
             self._pause_buffer.append((packet, now))
             return True
         queue = self.queue
-        if not self._busy and not queue._size and not self.device._failed:
+        if not self._busy and not queue._size:
             # Idle fast path: the packet would be enqueued and then
             # immediately dequeued by the service start it triggers.
             # Fuse the two, keeping the queue counters exactly as the

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..chaos.invariants import Violation
+from ..chaos.scenario import worker_failure
 from ..errors import ConfigurationError
 from ..exec import (Campaign, RunRequest, SupervisionPolicy,
                     make_executor, register_campaign, run_campaign,
@@ -103,8 +103,8 @@ class SoakCampaign(Campaign):
                       details: Optional[Dict[str, object]] = None
                       ) -> Dict[str, object]:
         """Crash isolation: a dead worker's case is itself a finding."""
-        return error_case_payload(self.case_for(request), Violation(
-            "scenario-error", f"worker failed: {error}", data=details))
+        return error_case_payload(self.case_for(request),
+                                  worker_failure(error, details))
 
     def end_record(self, payloads: List[Dict[str, object]]
                    ) -> Dict[str, object]:

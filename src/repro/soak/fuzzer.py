@@ -5,7 +5,8 @@ workload and config, the fuzzer draws **everything** a scenario is made
 of from one seed: run duration, packet size, workload shape (spike base
 and peak rates), planner policy (hardened vs resilient), migration
 failure rate, and the fault schedule itself.  The drawn
-:class:`SoakCase` is fully explicit — the fault list is embedded, not
+:class:`~repro.chaos.scenario.SoakCase` (the same type a chaos run
+builds) is fully explicit — the fault list is embedded, not
 regenerated — and JSON round-trips bit-exact, which is what makes a
 case the unit of currency for the shrinker and the reproducer format
 (``docs/soak.md``).
@@ -24,19 +25,12 @@ from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..chain.nf import DeviceKind
+from ..chaos.scenario import (BUG_CONSERVATION, BUG_PROTECTED_SHED,
+                              PlantedBug, SoakCase)
 from ..chaos.schedule import ChaosConfig, ChaosFault, ChaosSchedule
 from ..errors import ConfigurationError
 from ..harness.scenarios import figure1
 from ..units import gbps
-
-#: Planted bug classes (see :func:`plant`).
-BUG_CONSERVATION = "conservation"
-BUG_PROTECTED_SHED = "protected-shed"
-_BUGS = (BUG_CONSERVATION, BUG_PROTECTED_SHED)
-
-#: Fault kinds a planted bug may use as its trigger.
-_TRIGGER_KINDS = ("crash", "brownout", "pcie-flap", "telemetry-dropout",
-                  "device-kill", "overload")
 
 #: Shortest fault window the fuzzer (and the shrinker) will use.
 MIN_FAULT_DURATION_S = 0.002
@@ -124,104 +118,6 @@ def default_space(duration_cap_s: Optional[float] = None) -> FuzzSpace:
     return replace(space,
                    duration_lo_s=min(space.duration_lo_s, duration_cap_s),
                    duration_hi_s=duration_cap_s)
-
-
-@dataclass(frozen=True)
-class PlantedBug:
-    """A deliberate corruption for pipeline tests (never the default).
-
-    ``bug`` names the corruption the scenario applies
-    (:data:`BUG_CONSERVATION` un-records one delivered packet;
-    :data:`BUG_PROTECTED_SHED` bumps a protected class's shed
-    counter); ``trigger_kind`` names the fault kind whose presence
-    arms it — the corruption fires iff the case schedule contains at
-    least one fault of that kind, which is exactly what makes the
-    shrunk reproducer 1-minimal.
-    """
-
-    bug: str
-    trigger_kind: str = "crash"
-
-    def __post_init__(self) -> None:
-        if self.bug not in _BUGS:
-            raise ConfigurationError(
-                f"unknown planted bug {self.bug!r} "
-                f"(known: {', '.join(_BUGS)})")
-        if self.trigger_kind not in _TRIGGER_KINDS:
-            raise ConfigurationError(
-                f"unknown trigger kind {self.trigger_kind!r} "
-                f"(known: {', '.join(_TRIGGER_KINDS)})")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (case round-trip)."""
-        return {"bug": self.bug, "trigger_kind": self.trigger_kind}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PlantedBug":
-        """Inverse of :meth:`to_dict`."""
-        return cls(bug=str(data["bug"]),
-                   trigger_kind=str(data["trigger_kind"]))
-
-
-@dataclass(frozen=True)
-class SoakCase:
-    """One fully drawn scenario — everything needed to replay it.
-
-    Unlike a chaos run (seed + shared config), a case embeds its entire
-    fault list: the shrinker edits that list directly and the edited
-    case still replays bit-exact.
-    """
-
-    seed: int
-    duration_s: float
-    packet_bytes: int
-    base_bps: float
-    peak_bps: float
-    spike_start_frac: float = 0.2
-    spike_frac: float = 0.4
-    resilient: bool = False
-    migration_failure_rate: float = 0.3
-    faults: Tuple[ChaosFault, ...] = ()
-    planted: Optional[PlantedBug] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (journal payloads and reproducers)."""
-        return {
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "packet_bytes": self.packet_bytes,
-            "base_bps": self.base_bps,
-            "peak_bps": self.peak_bps,
-            "spike_start_frac": self.spike_start_frac,
-            "spike_frac": self.spike_frac,
-            "resilient": self.resilient,
-            "migration_failure_rate": self.migration_failure_rate,
-            "faults": [fault.as_dict() for fault in self.faults],
-            "planted": self.planted.to_dict() if self.planted else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SoakCase":
-        """Inverse of :meth:`to_dict` (reproducer replay)."""
-        planted = data.get("planted")
-        return cls(
-            seed=int(data["seed"]),
-            duration_s=float(data["duration_s"]),
-            packet_bytes=int(data["packet_bytes"]),
-            base_bps=float(data["base_bps"]),
-            peak_bps=float(data["peak_bps"]),
-            spike_start_frac=float(data["spike_start_frac"]),
-            spike_frac=float(data["spike_frac"]),
-            resilient=bool(data["resilient"]),
-            migration_failure_rate=float(data["migration_failure_rate"]),
-            faults=tuple(ChaosFault.from_dict(fault)
-                         for fault in data["faults"]),
-            planted=PlantedBug.from_dict(planted) if planted else None)
-
-    def with_faults(self, faults) -> "SoakCase":
-        """The same case with a different (time-sorted) fault list."""
-        ordered = tuple(sorted(faults, key=lambda f: f.at_s))
-        return replace(self, faults=ordered)
 
 
 def _chain_nf_names():

@@ -1,99 +1,37 @@
 """Wiring one drawn :class:`SoakCase` into a runnable scenario.
 
-Mirrors :meth:`repro.chaos.runner.ChaosRunner.build_scenario`, but
-driven entirely by the case's explicit fields (duration, packet size,
-spike shape, policy, failure rate, fault list) instead of a shared
-config plus regeneration — an edited case (the shrinker's candidates)
-replays exactly what it says.
+The case goes through :meth:`~repro.chaos.scenario.FaultScenario.wire`,
+the one builder chaos runs use too, driven entirely by the case's
+explicit fields (duration, packet size, spike shape, policy, failure
+rate, fault list) — an edited case (the shrinker's candidates) replays
+exactly what it says.
 
-The :class:`~repro.soak.invariants.InvariantEngine` attaches before
+On top of that wiring the soak view adds two things.  The
+:class:`~repro.soak.invariants.InvariantEngine` attaches before
 ``prepare()``, so invariants observe the run from the first event.  A
 case with a planted bug applies its corruption in ``collect()`` iff a
 fault of the trigger kind is present — see
-:class:`~repro.soak.fuzzer.PlantedBug`.
+:class:`~repro.chaos.scenario.PlantedBug`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..chaos.invariants import Violation
-from ..chaos.schedule import ChaosConfig, ChaosFault, ChaosSchedule
-from ..core.operator import HardenedController, HardeningConfig
-from ..core.reverse import PullbackConfig
+from ..chaos.scenario import (BUG_CONSERVATION, BUG_PROTECTED_SHED,
+                              FaultScenario, SoakCase, run_guarded)
 from ..errors import ConfigurationError
-from ..exec.errinfo import exception_payload
-from ..harness.scenarios import figure1
-from ..migration.executor import (OUTCOME_SUCCEEDED, ProbabilisticFailure,
-                                  RetryPolicy)
-from ..resilience.controller import ResilienceConfig, ResilientController
-from ..sim.faults import FaultInjector
-from ..sim.runner import SimulationResult, SimulationRunner
-from ..traffic.generators import numpy as _np
-from ..traffic.packet import FixedSize
-from ..traffic.patterns import ProfiledArrivals, RateProfile, spike
-from ..units import usec
-from .fuzzer import BUG_CONSERVATION, BUG_PROTECTED_SHED, SoakCase
+from ..migration.executor import OUTCOME_SUCCEEDED
 from .invariants import InvariantEngine
-
-_MONITOR_PERIOD_S = 0.002
-
-
-def _case_profile(case: SoakCase,
-                  overloads: List[ChaosFault]) -> RateProfile:
-    """The case's spike, overridden inside any overload windows."""
-    base = spike(base_bps=case.base_bps, peak_bps=case.peak_bps,
-                 start_s=case.spike_start_frac * case.duration_s,
-                 duration_s=case.spike_frac * case.duration_s)
-    if not overloads:
-        return base
-
-    def profile(t_s: float) -> float:
-        rate = base(t_s)
-        for window in overloads:
-            if window.at_s <= t_s < window.at_s + window.duration_s:
-                rate = max(rate, window.magnitude)
-        return rate
-
-    base_rates = getattr(base, "rates", None)
-    if base_rates is not None and _np is not None:
-
-        def rates(t_s: "_np.ndarray") -> "_np.ndarray":
-            """Vectorised overlay, element-identical to ``profile``."""
-            rate = base_rates(t_s)
-            for window in overloads:
-                _np.maximum(rate, window.magnitude, out=rate,
-                            where=((t_s >= window.at_s)
-                                   & (t_s < window.at_s + window.duration_s)))
-            return rate
-
-        profile.rates = rates
-    return profile
 
 
 @dataclass
-class SoakScenario:
+class SoakScenario(FaultScenario):
     """One wired case: faults applied, invariants attached, not run."""
 
-    case: SoakCase
-    sim: SimulationRunner
-    hardened: HardenedController
-    resilient: Optional[ResilientController]
-    injector: FaultInjector
     invariants: InvariantEngine
-    #: Set by :meth:`run`; consumed by :meth:`collect`.
-    result: Optional[SimulationResult] = None
-
-    def prepare(self) -> None:
-        """Inject the seeded workload and arm the monitor (idempotent)."""
-        self.sim.prepare()
-
-    def run(self) -> SimulationResult:
-        """Run the workload, then drain the engine to exhaustion."""
-        self.result = self.sim.run()
-        self.sim.engine.run()
-        return self.result
 
     def _apply_planted(self) -> None:
         """Corrupt the end state iff the planted bug's trigger fired."""
@@ -145,49 +83,10 @@ class SoakScenario:
 
 def build_case_scenario(case: SoakCase) -> SoakScenario:
     """Wire one case, faults applied and invariants attached."""
-    server = figure1().build_server()
-    overloads = [fault for fault in case.faults
-                 if fault.kind == "overload"]
-    generator = ProfiledArrivals(_case_profile(case, overloads),
-                                 FixedSize(case.packet_bytes),
-                                 duration_s=case.duration_s,
-                                 seed=case.seed, jitter=False)
-    hardened = HardenedController(
-        config=HardeningConfig(
-            cooldown_s=2 * _MONITOR_PERIOD_S,
-            flap_damp_s=0.01,
-            migration_budget=8,
-            pullback=PullbackConfig(trigger_below=0.6, nic_target=0.9),
-            telemetry_stale_s=1.5 * _MONITOR_PERIOD_S,
-            action_timeout_s=0.01,
-            retry=RetryPolicy(max_attempts=3,
-                              backoff_base_s=usec(200.0))),
-        failure_hook=ProbabilisticFailure(
-            case.migration_failure_rate, seed=case.seed))
-    resilient: Optional[ResilientController] = None
-    controller: object = hardened
-    if case.resilient:
-        resilient = ResilientController(hardened, ResilienceConfig())
-        controller = resilient
-    sim = SimulationRunner(server, generator, controller,
-                           monitor_period_s=_MONITOR_PERIOD_S)
-    engine = InvariantEngine()
-    engine.attach(sim, hardened=hardened, resilient=resilient)
-    injector = FaultInjector(sim.network, sim.engine, seed=case.seed)
-    # ChaosSchedule.apply maps fault kinds onto the injector; the
-    # config carried here is only a validity shell — the fault list is
-    # the case's own, never regenerated.
-    schedule = ChaosSchedule(
-        seed=case.seed,
-        config=ChaosConfig(
-            duration_s=case.duration_s,
-            migration_failure_rate=case.migration_failure_rate,
-            resilient=case.resilient),
-        faults=list(case.faults))
-    schedule.apply(injector)
-    return SoakScenario(case=case, sim=sim, hardened=hardened,
-                        resilient=resilient, injector=injector,
-                        invariants=engine)
+    scenario = SoakScenario.wire(case, invariants=InvariantEngine())
+    scenario.invariants.attach(scenario.sim, hardened=scenario.hardened,
+                               resilient=scenario.resilient)
+    return scenario
 
 
 def error_case_payload(case: SoakCase,
@@ -204,21 +103,7 @@ def error_case_payload(case: SoakCase,
 
 
 def run_case(case: SoakCase) -> Dict[str, object]:
-    """Build → prepare → run → collect; crashes become payloads.
-
-    Like the chaos runner, a scenario that raises is itself a finding
-    (``scenario-error``) — with the structured exception payload
-    attached — never a campaign abort.
-    """
-    try:
-        scenario = build_case_scenario(case)
-        scenario.prepare()
-        scenario.run()
-        return scenario.collect()
-    # Faithfully-reporting top-level boundary: the crash becomes a
-    # recorded violation carrying its own traceback summary.
-    except Exception as exc:  # repro: noqa[EXC402]
-        return error_case_payload(case, Violation(
-            "scenario-error",
-            f"scenario raised {type(exc).__name__}: {exc}",
-            data=exception_payload(exc)))
+    """Build → prepare → run → collect; crashes become payloads."""
+    return run_guarded(lambda: build_case_scenario(case),
+                       lambda violation: error_case_payload(case,
+                                                            violation))

@@ -1,6 +1,6 @@
 """Delta-debugging shrinker: from a failing case to a 1-minimal repro.
 
-Given a failing :class:`~repro.soak.fuzzer.SoakCase`, the shrinker
+Given a failing :class:`~repro.chaos.scenario.SoakCase`, the shrinker
 re-executes edited candidates until no single edit preserves the
 failure — the classic ddmin algorithm over the fault list, followed by
 per-event simplification (shorten durations, round timestamps).  The

@@ -5,7 +5,7 @@ import pytest
 from repro.chain.nf import DeviceKind
 from repro.chaos import (ChaosConfig, ChaosRunner, ChaosSchedule,
                          check_invariants)
-from repro.chaos.schedule import ChaosFault
+from repro.chaos.schedule import ChaosFault, apply_faults
 from repro.errors import ConfigurationError
 from repro.harness.scenarios import figure1
 from repro.sim.engine import Engine
@@ -80,7 +80,7 @@ class TestChaosSchedule:
         assert schedule.faults
         __, engine, network = drained_network()
         injector = FaultInjector(network, engine)
-        events = schedule.apply(injector)
+        events = apply_faults(schedule.faults, injector)
         assert len(events) == len(schedule.faults)
         assert len(injector.events) == len(schedule.faults)
 
@@ -181,7 +181,7 @@ class TestResilienceKinds:
                        device=DeviceKind.SMARTNIC)])
         __, engine, network = drained_network()
         injector = FaultInjector(network, engine)
-        events = schedule.apply(injector)
+        events = apply_faults(schedule.faults, injector)
         assert len(events) == 1
         engine.run()
         assert injector.is_device_dead(DeviceKind.SMARTNIC)
@@ -194,7 +194,7 @@ class TestResilienceKinds:
                        magnitude=2.4e9)])
         __, engine, network = drained_network()
         injector = FaultInjector(network, engine)
-        assert schedule.apply(injector) == []
+        assert apply_faults(schedule.faults, injector) == []
         assert injector.events == []
 
 
@@ -258,8 +258,8 @@ class TestCampaign:
                 raise RuntimeError("boom")
             return original(run_seed, schedule)
 
-        original = runner._execute
-        monkeypatch.setattr(runner, "_execute", explode)
+        original = runner.build_scenario
+        monkeypatch.setattr(runner, "build_scenario", explode)
         report = runner.run()
         assert calls == [3, 4]
         assert not report.ok

@@ -156,7 +156,7 @@ class TestChaosResilienceFlags:
         def explode(self, run_seed, schedule):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(ChaosRunner, "_execute", explode)
+        monkeypatch.setattr(ChaosRunner, "build_scenario", explode)
         assert main(["chaos", "--runs", "1", "--seed", "3",
                      "--duration", "0.01"]) == 1
         assert "scenario-error" in capsys.readouterr().out

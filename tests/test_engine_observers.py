@@ -1,4 +1,4 @@
-"""Tests for the engine's observer list and batched trace observers."""
+"""Tests for the engine's batched trace observers."""
 
 from repro.sim.engine import Engine
 
@@ -16,7 +16,8 @@ class TestObserverList:
         engine = Engine()
         _schedule_three(engine)
         seen = []
-        engine.add_observer(lambda event: seen.append(event.time_s))
+        engine.add_trace_observer(
+            lambda keys: seen.extend(key[0] for key in keys))
         engine.run()
         assert seen == [0.001, 0.002, 0.003]
 
@@ -24,8 +25,8 @@ class TestObserverList:
         engine = Engine()
         _schedule_three(engine)
         calls = []
-        engine.add_observer(lambda event: calls.append("first"))
-        engine.add_observer(lambda event: calls.append("second"))
+        engine.add_trace_observer(lambda keys: calls.append("first"))
+        engine.add_trace_observer(lambda keys: calls.append("second"))
         engine.run(max_events=1)
         assert calls == ["first", "second"]
 
@@ -33,26 +34,31 @@ class TestObserverList:
         engine = Engine()
         _schedule_three(engine)
         seen = []
-        def observer(event):
-            seen.append(event.time_s)
-        engine.add_observer(observer)
+        def observer(keys):
+            seen.extend(key[0] for key in keys)
+        engine.add_trace_observer(observer)
         engine.run(max_events=1)
-        engine.remove_observer(observer)
+        engine.remove_trace_observer(observer)
         engine.run()
         assert seen == [0.001]
 
     def test_remove_absent_observer_is_noop(self):
         engine = Engine()
-        engine.remove_observer(lambda event: None)
+        engine.remove_trace_observer(lambda keys: None)
 
     def test_observer_may_unsubscribe_mid_event(self):
         engine = Engine()
-        _schedule_three(engine)
         seen = []
-        def once(event):
-            seen.append(event.time_s)
-            engine.remove_observer(once)
-        engine.add_observer(once)
+        def once(keys):
+            seen.extend(key[0] for key in keys)
+            engine.remove_trace_observer(once)
+        def flush_now():
+            # Deliver the keys buffered so far from inside an event.
+            engine.flush_trace()
+        engine.at(0.001, flush_now)
+        engine.at(0.002, flush_now)
+        engine.at(0.003, flush_now)
+        engine.add_trace_observer(once)
         engine.run()
         assert seen == [0.001]
 
@@ -106,14 +112,13 @@ class TestTraceObservers:
         engine.run()
         assert sum(len(batch) for batch in batches) == 1
 
-    def test_trace_and_per_event_observers_agree(self):
+    def test_trace_to_and_trace_observer_agree(self):
         engine = Engine()
         _schedule_three(engine)
-        per_event = []
-        engine.add_observer(
-            lambda event: per_event.append(
-                (event.time_s, event.priority, event.seq)))
+        batched = []
+        engine.add_trace_observer(batched.extend)
         traced = []
         engine.trace_to(traced)
         engine.run()
-        assert traced == per_event
+        assert traced == batched
+        assert len(traced) == 3

@@ -94,6 +94,19 @@ class TestRepeatedCrash:
         late = [p for p in network.delivered if p.arrival_s > 7.5e-4]
         assert late
 
+    def test_crash_is_station_state_not_a_patched_accept(self):
+        __, engine, network = live_network()
+        injector = FaultInjector(network, engine)
+        station = network.stations["monitor"]
+        inject_cbr(network, 300)
+        event = injector.crash_nf("monitor", at_s=2e-4, downtime_s=1e-4)
+        probes = []
+        engine.at(2.5e-4, lambda: probes.append(station.crash))
+        engine.run()
+        assert probes == [event]
+        assert station.crash is None
+        assert "accept" not in vars(station)
+
     def test_losses_attributed_to_the_right_window(self):
         __, engine, network = live_network()
         injector = FaultInjector(network, engine)
