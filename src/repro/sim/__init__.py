@@ -3,7 +3,7 @@
 from .engine import Engine
 from .faults import FaultEvent, FaultInjector
 from .events import Event, EventQueue, PRIORITY_CONTROL, PRIORITY_DATA
-from .latency import COMPONENTS, LatencyLedger, LatencyRecord
+from .latency import COMPONENTS, component_means
 from .network import ChainNetwork
 from .nfinstance import NFStation
 from .queues import PacketQueue, QueueStats
@@ -19,8 +19,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "EventQueue",
-    "LatencyLedger",
-    "LatencyRecord",
     "NFStation",
     "PRIORITY_CONTROL",
     "PRIORITY_DATA",
@@ -29,5 +27,6 @@ __all__ = [
     "SimulationResult",
     "SimulationRunner",
     "TickContext",
+    "component_means",
     "simulate",
 ]

@@ -129,21 +129,6 @@ class Engine:
         id-scheduled hops."""
         self._queue.rebind_action(action_id, action)
 
-    def call_at(self, time_s: float, action, arg: object = _NO_ARG,
-                control: bool = False) -> None:
-        """Handle-free :meth:`at`: schedule ``action(arg)`` at ``time_s``.
-
-        For model code that never cancels: no :class:`Event` handle is
-        built, and carrying ``arg`` in the calendar entry replaces the
-        per-event closure.  Same validation and ordering as :meth:`at`.
-        """
-        if time_s < self.now_s:
-            raise SchedulingError(
-                f"cannot schedule at {time_s:.9f}, clock is at {self.now_s:.9f}")
-        self._queue.schedule(
-            time_s, action, PRIORITY_CONTROL if control else PRIORITY_DATA,
-            arg)
-
     def call_at_id(self, time_s: float, action_id: int,
                    arg: object = _NO_ARG, control: bool = False) -> None:
         """Schedule a pre-registered action by id at ``time_s``.
@@ -255,21 +240,6 @@ class Engine:
         return self._queue.schedule_id_many(
             action_id, PRIORITY_CONTROL if control else PRIORITY_DATA,
             items, floor_s=self.now_s)
-
-    def call_after(self, delay_s: float, action, arg: object = _NO_ARG,
-                   control: bool = False) -> None:
-        """Handle-free :meth:`after`: schedule ``action(arg)`` after a delay.
-
-        A non-negative delay from ``now`` can never land before the
-        clock, so this schedules directly without :meth:`call_at`'s
-        past-time check — it is the single hottest scheduling call in
-        packet mode.
-        """
-        if delay_s < 0:
-            raise SchedulingError(f"negative delay {delay_s}")
-        self._queue.schedule(
-            self.now_s + delay_s, action,
-            PRIORITY_CONTROL if control else PRIORITY_DATA, arg)
 
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""

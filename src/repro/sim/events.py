@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SchedulingError
@@ -246,46 +248,54 @@ class EventQueue:
         """Bulk :meth:`schedule_id`: one ``(time_s, arg)`` per event.
 
         The batch path behind vectorized arrival injection — identical
-        ordering semantics to one :meth:`schedule_id` call per item,
-        amortising the per-call overhead across the whole epoch.
-        Returns the number of events scheduled; raises if any timestamp
-        lies below ``floor_s`` (callers pass the current clock).
+        ordering semantics to one :meth:`schedule_id` call per item.
+        The whole batch is validated and its entries built before
+        anything is queued, so a timestamp below ``floor_s`` (callers
+        pass the current clock) raises and leaves the queue untouched.
+        Each calendar bucket is then extended once per run of
+        consecutive items that land in it.  Returns the number of
+        events scheduled.
         """
+        # Validate and build in one pass, dropping each (time_s, arg)
+        # pair as it is consumed: keeping the pairs alive to validate
+        # first and zip afterwards doubles the live tuples, and the
+        # cycle collector's extra work outweighs the C-level build.
         seq = self._seq
-        count = 0
-        buckets = self._buckets
-        inv_width = self._inv_width
-        current_id = self._current_id
+        entries: List[_Entry] = []
+        append = entries.append
         for time_s, arg in items:
-            if time_s < floor_s:
+            if not time_s >= floor_s:  # also rejects NaN
                 raise SchedulingError(
                     f"cannot schedule at {time_s:.9f}, floor is "
                     f"{floor_s:.9f}")
-            entry = (time_s, priority, seq, action_id, arg)
+            append((time_s, priority, seq, action_id, arg))
             seq += 1
-            count += 1
-            bucket_id = int(time_s * inv_width)
+        # int(time_s * inv_width) per entry, as schedule_id computes it
+        # (IEEE multiplication commutes exactly).
+        bucket_ids = list(map(int, map(self._inv_width.__mul__,
+                                       map(itemgetter(0), entries))))
+        count = len(entries)
+        buckets = self._buckets
+        current_id = self._current_id
+        start = 0
+        for bucket_id, run in groupby(bucket_ids):
+            stop = start + len(list(run))
             if bucket_id == current_id:
-                insort(self._current, entry, self._pos)
+                # Into the unconsumed tail of the current sorted bucket.
+                current = self._current
+                for entry in entries[start:stop]:
+                    insort(current, entry, self._pos)
             else:
                 bucket = buckets.get(bucket_id)
                 if bucket is None:
-                    self._new_bucket(bucket_id, entry)
+                    buckets[bucket_id] = entries[start:stop]
+                    heappush(self._bucket_heap, bucket_id)
                 else:
-                    bucket.append(entry)
+                    bucket.extend(entries[start:stop])
+            start = stop
         self._seq = seq
         self._count += count
         return count
-
-    def schedule(self, time_s: float, action: Action, priority: int,
-                 arg: object = _NO_ARG) -> None:
-        """Schedule a callable without a handle (interning it first).
-
-        Convenience wrapper for call sites that have not pre-registered
-        their callback; hot paths should register once and use
-        :meth:`schedule_id`.
-        """
-        self.schedule_id(time_s, self.register_action(action), priority, arg)
 
     def push(self, time_s: float, action: Action,
              priority: int = PRIORITY_DATA) -> Event:

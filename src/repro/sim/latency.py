@@ -9,91 +9,36 @@ packet's life to one of four components:
 * ``queueing`` — time waiting in NF ingress queues (and migration buffers),
 * ``pcie`` — NIC<->CPU transfers.
 
-:class:`LatencyRecord` accumulates the components for one packet;
-:class:`LatencyLedger` owns the records for a run and provides the
-aggregations the harness reports.
+Each component is a float field on the
+:class:`~repro.traffic.packet.Packet` itself, which the data path adds
+to in place on every hop; :func:`component_means` aggregates them over
+a set of packets for the harness reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
-from ..errors import SimulationError
+from ..traffic.packet import Packet
 
 COMPONENTS = ("wire", "processing", "queueing", "pcie")
 
 
-@dataclass(slots=True)
-class LatencyRecord:
-    """Component-attributed latency for one packet (slotted: one live
-    record per in-flight packet, accumulated into on every hop)."""
+def component_means(packets: Iterable[Packet]) -> Dict[str, float]:
+    """Mean seconds per component over ``packets`` (zeros when empty).
 
-    seq: int
-    wire: float = 0.0
-    processing: float = 0.0
-    queueing: float = 0.0
-    pcie: float = 0.0
-
-    def add(self, component: str, seconds: float) -> None:
-        """Attribute ``seconds`` to ``component``."""
-        if seconds < 0:
-            raise SimulationError(
-                f"negative latency contribution {seconds} to {component}")
-        if component not in COMPONENTS:
-            raise SimulationError(f"unknown latency component {component!r}")
-        setattr(self, component, getattr(self, component) + seconds)
-
-    @property
-    def total(self) -> float:
-        """Sum of all components (equals end-to-end latency)."""
-        return self.wire + self.processing + self.queueing + self.pcie
-
-
-class _RecordMap(Dict[int, LatencyRecord]):
-    """seq -> record mapping that creates records on first access.
-
-    ``__missing__`` makes plain subscription the create-or-get
-    operation, so hot paths reach a packet's record with a single C
-    dict lookup instead of a Python method call.
+    One pass, summing each component left to right in iteration order,
+    so the means are a deterministic function of the packet order.
     """
-
-    def __missing__(self, seq: int) -> LatencyRecord:
-        record = LatencyRecord(seq=seq)
-        self[seq] = record
-        return record
-
-
-class LatencyLedger:
-    """Collects per-packet records and aggregates them."""
-
-    def __init__(self) -> None:
-        #: Per-packet records by seq; subscription auto-creates, so hot
-        #: paths may index it directly (``ledger.by_seq[seq]``).
-        self.by_seq: _RecordMap = _RecordMap()
-        self._records: Dict[int, LatencyRecord] = self.by_seq
-
-    def record_for(self, seq: int) -> LatencyRecord:
-        """The (possibly new) record for packet ``seq``."""
-        return self.by_seq[seq]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def records(self) -> List[LatencyRecord]:
-        """All records in packet order."""
-        return [self._records[k] for k in sorted(self._records)]
-
-    def component_means(self, seqs: Optional[Iterable[int]] = None) -> Dict[str, float]:
-        """Mean seconds per component over ``seqs`` (default: all packets)."""
-        chosen = (self._records[s] for s in seqs) if seqs is not None \
-            else iter(self._records.values())
-        totals = dict.fromkeys(COMPONENTS, 0.0)
-        count = 0
-        for record in chosen:
-            for component in COMPONENTS:
-                totals[component] += getattr(record, component)
-            count += 1
-        if count == 0:
-            return dict.fromkeys(COMPONENTS, 0.0)
-        return {c: v / count for c, v in totals.items()}
+    wire = processing = queueing = pcie = 0.0
+    count = 0
+    for packet in packets:
+        wire += packet.wire
+        processing += packet.processing
+        queueing += packet.queueing
+        pcie += packet.pcie
+        count += 1
+    if count == 0:
+        return dict.fromkeys(COMPONENTS, 0.0)
+    return {"wire": wire / count, "processing": processing / count,
+            "queueing": queueing / count, "pcie": pcie / count}

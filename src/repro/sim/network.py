@@ -21,7 +21,6 @@ from ..errors import SimulationError
 from ..traffic.packet import Packet
 from ..units import ETHERNET_OVERHEAD_BYTES
 from .engine import Engine
-from .latency import LatencyLedger
 from .nfinstance import NFStation
 
 
@@ -29,7 +28,6 @@ class ChainNetwork:
     """The data plane: stations plus inter-station forwarding."""
 
     def __init__(self, server: Server, engine: Engine,
-                 ledger: Optional[LatencyLedger] = None,
                  placement: Optional[Placement] = None) -> None:
         """Wire one chain onto ``server``.
 
@@ -39,7 +37,6 @@ class ChainNetwork:
         """
         self.server = server
         self.engine = engine
-        self.ledger = ledger or LatencyLedger()
         if placement is None:
             placement = server.placement
         self.chain = placement.chain
@@ -51,7 +48,7 @@ class ChainNetwork:
         for nf in self.chain:
             device = server.device(placement.device_of(nf.name))
             self.stations[nf.name] = NFStation(
-                nf, device, engine, self.ledger, self._on_nf_complete,
+                nf, device, engine, self._on_nf_complete,
                 on_filtered=self._on_nf_filtered,
                 on_dropped=self._on_nf_dropped)
         self.delivered: List[Packet] = []
@@ -88,7 +85,6 @@ class ChainNetwork:
         # (see Engine.register_action); the post-PCIe arrival thunks
         # are one fused closure per NF so the scheduled argument stays
         # the bare packet.
-        self._latency_by_seq = self.ledger.by_seq
         self._pcie = server.pcie
         self._nic = server.nic
         # Port contention is constructor-set configuration; when it is
@@ -163,7 +159,7 @@ class ChainNetwork:
             if t_wire < 0.0:
                 raise SimulationError(
                     f"negative wire latency {t_wire} at ingress")
-            self._latency_by_seq[packet.seq].wire += t_wire
+            packet.wire += t_wire
             self.engine.call_after_id(t_wire, self._forward_from_wire_id,
                                       packet)
         else:
@@ -184,7 +180,6 @@ class ChainNetwork:
         arrive_id = self._arrive_ids[self._first_nf]
         pcie = self._pcie
         engine = self.engine
-        by_seq = self._latency_by_seq
         dropped_append = self.dropped.append
 
         def forward_from_wire(packet: Packet) -> None:
@@ -195,7 +190,7 @@ class ChainNetwork:
                     raise SimulationError(
                         f"negative PCIe latency {t_pcie} "
                         f"toward {station.profile.name!r}")
-                by_seq[packet.seq].pcie += t_pcie
+                packet.pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
             elif not station.accept(packet):
                 dropped_append(packet)
@@ -226,7 +221,7 @@ class ChainNetwork:
             if t_pcie < 0.0:
                 raise SimulationError(
                     f"negative PCIe latency {t_pcie} toward {nf_name!r}")
-            self._latency_by_seq[packet.seq].pcie += t_pcie
+            packet.pcie += t_pcie
             self.engine.call_after_id(t_pcie, self._arrive_ids[nf_name],
                                       packet)
         else:
@@ -288,7 +283,6 @@ class ChainNetwork:
         arrive_id = self._arrive_ids[next_name]
         pcie = self._pcie
         engine = self.engine
-        by_seq = self._latency_by_seq
         dropped_append = self.dropped.append
 
         def complete(packet: Packet, nf_name: str, now_s: float) -> None:
@@ -300,7 +294,7 @@ class ChainNetwork:
                     raise SimulationError(
                         f"negative PCIe latency {t_pcie} "
                         f"toward {next_station.profile.name!r}")
-                by_seq[packet.seq].pcie += t_pcie
+                packet.pcie += t_pcie
                 engine.call_after_id(t_pcie, arrive_id, packet)
             elif not next_station.accept(packet):
                 dropped_append(packet)
@@ -316,14 +310,13 @@ class ChainNetwork:
         paying wire serialisation only when the egress endpoint is the
         NIC (host-terminated chains hand the packet to an application).
         """
-        record = self._latency_by_seq[packet.seq]
         if from_device is not self.egress_device:
             t_pcie = self._pcie.record_crossing(packet.size_bytes,
                                                 self.engine.now_s)
             if t_pcie < 0.0:
                 raise SimulationError(
                     f"negative PCIe latency {t_pcie} at egress")
-            record.pcie += t_pcie
+            packet.pcie += t_pcie
             self.engine.call_after_id(t_pcie, self._egress_at_endpoint_id,
                                       packet)
             return
@@ -337,7 +330,7 @@ class ChainNetwork:
             if t_wire < 0.0:
                 raise SimulationError(
                     f"negative wire latency {t_wire} at egress")
-            record.wire += t_wire
+            packet.wire += t_wire
             self.engine.call_after_id(t_wire, self._depart_id, packet)
         else:
             self._depart(packet)

@@ -22,7 +22,6 @@ from ..devices.device import Device
 from ..errors import MigrationError, SimulationError
 from ..traffic.packet import Packet
 from .engine import Engine
-from .latency import LatencyLedger
 from .queues import PacketQueue
 
 if TYPE_CHECKING:
@@ -47,14 +46,12 @@ class NFStation:
     """One NF's queue + server, bound to whichever device hosts it."""
 
     def __init__(self, profile: NFProfile, device: Device,
-                 engine: Engine, ledger: LatencyLedger,
-                 on_complete: CompletionFn,
+                 engine: Engine, on_complete: CompletionFn,
                  on_filtered: Optional[CompletionFn] = None,
                  on_dropped: Optional[CompletionFn] = None) -> None:
         self.profile = profile
         self.device = device
         self.engine = engine
-        self.ledger = ledger
         self.on_complete = on_complete
         self.on_filtered = on_filtered
         #: Called when a replayed pause-buffer packet overflows the new
@@ -85,7 +82,6 @@ class NFStation:
         self._free_server_id = engine.register_action(self._free_server)
         emit = self._emit if profile.pass_rate < 1.0 else self._emit_pass
         self._emit_id = engine.register_action(emit)
-        self._latency_by_seq = ledger.by_seq
         self._call_after_pair = engine.call_after_id_pair
 
     # -- state inspection ---------------------------------------------------
@@ -137,7 +133,7 @@ class NFStation:
             # immediately dequeued by the service start it triggers.
             # Fuse the two, keeping the queue counters exactly as the
             # enqueue/dequeue pair would have left them (zero waiting
-            # time contributes nothing to the latency record).
+            # time contributes nothing to the packet's queueing).
             stats = queue.stats
             stats.enqueued += 1
             stats.dequeued += 1
@@ -154,7 +150,7 @@ class NFStation:
                 raise SimulationError(
                     f"negative latency contribution for packet "
                     f"{packet.seq} at station {self.profile.name}")
-            self._latency_by_seq[packet.seq].processing += delay
+            packet.processing += delay
             self._busy = True
             self._call_after_pair(occupancy, self._free_server_id,
                                   delay, self._emit_id, packet)
@@ -199,9 +195,8 @@ class NFStation:
             raise SimulationError(
                 f"negative latency contribution for packet {packet.seq} "
                 f"at station {self.profile.name}")
-        record = self._latency_by_seq[packet.seq]
-        record.queueing += waited
-        record.processing += delay
+        packet.queueing += waited
+        packet.processing += delay
         self._busy = True
         self._call_after_pair(occupancy, self._free_server_id,
                               delay, self._emit_id, packet)
@@ -340,7 +335,11 @@ class NFStation:
         """Move one packet from the migration buffer into the queue."""
         now = self.engine.now_s
         # Waiting in the migration buffer is queueing time.
-        self.ledger.record_for(packet.seq).add("queueing", now - buffered_at)
+        waited = now - buffered_at
+        if waited < 0:
+            raise SimulationError(
+                f"negative latency contribution {waited} to queueing")
+        packet.queueing += waited
         if not self.queue.enqueue(packet, now):
             packet.dropped_at = self.profile.name
             if self.on_dropped is not None:

@@ -24,7 +24,7 @@ from ..resources.model import LoadModel
 from ..telemetry.metrics import LatencySummary, ThroughputSummary
 from ..traffic.generators import TrafficGenerator
 from .engine import Engine
-from .latency import LatencyLedger
+from .latency import component_means
 from .network import ChainNetwork
 
 
@@ -211,19 +211,25 @@ class SimulationRunner:
 
     def _collect(self, offered_bps: float) -> SimulationResult:
         delivered = self.network.delivered
-        latencies = [p.latency_s for p in delivered if p.latency_s is not None]
-        latency = LatencySummary.from_samples(latencies) if latencies else None
         # Goodput counts only packets that left within the workload
         # horizon; backlog drained during the grace period would
         # otherwise inflate an overloaded chain's apparent throughput.
         horizon = self.generator.duration_s
-        in_window = [p for p in delivered
-                     if p.departure_s is not None and p.departure_s <= horizon]
+        latencies: List[float] = []
+        window_packets = window_bytes = 0
+        for packet in delivered:
+            departure_s = packet.departure_s
+            if departure_s is None:
+                continue
+            latencies.append(departure_s - packet.arrival_s)
+            if departure_s <= horizon:
+                window_packets += 1
+                window_bytes += packet.size_bytes
+        latency = LatencySummary.from_samples(latencies) if latencies else None
         throughput = ThroughputSummary(
-            delivered_packets=len(in_window),
-            delivered_bytes=sum(p.size_bytes for p in in_window),
+            delivered_packets=window_packets,
+            delivered_bytes=window_bytes,
             window_s=horizon)
-        delivered_seqs = [p.seq for p in delivered]
         migrations = getattr(self.controller, "migrations", [])
         return SimulationResult(
             duration_s=self.generator.duration_s,
@@ -234,7 +240,7 @@ class SimulationRunner:
             offered_bps=offered_bps,
             latency=latency,
             throughput=throughput,
-            component_means_s=self.network.ledger.component_means(delivered_seqs),
+            component_means_s=component_means(delivered),
             pcie=self.server.pcie.stats,
             final_placement=self.server.placement,
             migration_times_s=[m.completed_s for m in migrations],

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from typing import Iterator, Optional
 
 from ..errors import ConfigurationError
@@ -153,11 +154,11 @@ class ConstantBitRate(TrafficGenerator):
             n = int(numpy.searchsorted(times, duration, side="left"))
             if n:
                 flows = flow_table.pick_flows(stream.random_sample(n))
-                for arrival, flow_id in zip(times[:n].tolist(),
-                                            flows.tolist()):
-                    yield Packet(seq=seq, size_bytes=size,
-                                 arrival_s=arrival, flow_id=flow_id)
-                    seq += 1
+                # Positional (seq, size_bytes, arrival_s, flow_id): the
+                # whole epoch is built by one C-level map.
+                yield from map(Packet, range(seq, seq + n), repeat(size),
+                               times[:n].tolist(), flows.tolist())
+                seq += n
             if n < _BATCH_PACKETS:
                 return
             now = float(times[-1])

@@ -46,6 +46,17 @@ class Packet:
     #: NF that deliberately consumed the packet (firewall block, IDS
     #: quarantine) — a policy outcome, not a loss.
     filtered_at: Optional[str] = None
+    # Latency decomposition (see repro.sim.latency.COMPONENTS), seconds,
+    # accumulated in place by the simulator on every hop; a delivered
+    # packet's four components sum to its latency_s.
+    #: Ingress/egress serialisation on the Ethernet port.
+    wire: float = field(default=0.0, init=False)
+    #: Time being served inside NFs.
+    processing: float = field(default=0.0, init=False)
+    #: Time waiting in NF queues and migration pause buffers.
+    queueing: float = field(default=0.0, init=False)
+    #: NIC<->CPU transfers.
+    pcie: float = field(default=0.0, init=False)
 
     @property
     def latency_s(self) -> Optional[float]:

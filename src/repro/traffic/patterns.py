@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -172,11 +173,9 @@ class ProfiledArrivals(TrafficGenerator):
             n = int(_np.searchsorted(times[:valid], duration, side="left"))
             if n:
                 flows = flow_table.pick_flows(stream.random_sample(n))
-                for arrival, flow_id in zip(times[:n].tolist(),
-                                            flows.tolist()):
-                    yield Packet(seq=seq, size_bytes=size,
-                                 arrival_s=arrival, flow_id=flow_id)
-                    seq += 1
+                yield from map(Packet, range(seq, seq + n), repeat(size),
+                               times[:n].tolist(), flows.tolist())
+                seq += n
             if n < valid:
                 # A timestamp inside the exact prefix reached the
                 # horizon: the scalar loop would stop right there.

@@ -118,6 +118,22 @@ class TestEngine:
         engine.run()
         assert engine.events_processed == 4
 
+    def test_rejected_bulk_schedule_queues_nothing(self):
+        engine = Engine()
+        ran = []
+        action_id = engine.register_action(ran.append)
+        engine.call_at_id(1e-3, action_id, "kept")
+        engine.run(until_s=5e-4)
+        seq_before = engine._queue.seq_counter
+        with pytest.raises(SchedulingError):
+            engine.call_at_id_many(action_id, [(6e-4, "orphan"),
+                                               (4e-4, "too-early")])
+        assert engine.pending() == 1
+        assert engine._queue.seq_counter == seq_before
+        engine.call_at_id(7e-4, action_id, "next")
+        engine.run()
+        assert ran == ["next", "kept"]
+
     def test_reentrant_run_rejected(self):
         engine = Engine()
         failures = []

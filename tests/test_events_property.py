@@ -198,3 +198,86 @@ def test_cancelled_events_never_surface(entries):
         handle.cancel()
         assert handle.cancelled
     assert _drain(queue) == []
+
+
+def _drain_with_args(queue: EventQueue):
+    """Every remaining live event as ``(time, priority, seq, arg)``."""
+    entries = []
+    while True:
+        taken = queue.take()
+        if taken is None:
+            return entries
+        entries.append(taken[:3] + (taken[4],))
+
+
+#: Offsets added to the clock for bulk items: zero (an exact tie with
+#: the clock), sub-bucket offsets (the current bucket), and offsets that
+#: reach later buckets.
+_OFFSET = st.one_of(
+    st.sampled_from(_GRID),
+    st.floats(min_value=0.0, max_value=DEFAULT_BUCKET_WIDTH_S,
+              allow_nan=False, allow_infinity=False),
+    _TIME)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_TIME, _PRIORITY), max_size=40),
+       st.integers(min_value=0, max_value=40),
+       st.lists(_OFFSET, max_size=60),
+       _PRIORITY)
+def test_bulk_schedule_matches_per_item(before, consume, offsets, priority):
+    """``schedule_id_many`` is ``schedule_id`` per item, in item order.
+
+    Both queues get the same prior events and the same partial drain,
+    which leaves a current bucket open at the clock; the batch (unsorted
+    times, exact ties, and times inside that current bucket) then goes
+    in as one bulk call on one queue and item by item on the other.
+    Drain order, seq numbers, arguments and counters must all agree.
+    """
+    bulk, single = EventQueue(), EventQueue()
+    ids = [queue.register_action(lambda arg: None)
+           for queue in (bulk, single)]
+    for time_s, prio in before:
+        bulk.schedule_id(time_s, ids[0], prio, "prior")
+        single.schedule_id(time_s, ids[1], prio, "prior")
+    clock = 0.0
+    for _ in range(consume % (len(before) + 1)):
+        taken = bulk.take()
+        assert single.take()[:3] == taken[:3]
+        clock = taken[0]
+    items = [(clock + offset, index) for index, offset in enumerate(offsets)]
+    assert bulk.schedule_id_many(ids[0], priority, iter(items),
+                                 floor_s=clock) == len(items)
+    for time_s, arg in items:
+        single.schedule_id(time_s, ids[1], priority, arg)
+    assert bulk.seq_counter == single.seq_counter
+    assert len(bulk) == len(single)
+    assert _drain_with_args(bulk) == _drain_with_args(single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_TIME, _PRIORITY), max_size=30),
+       st.integers(min_value=0, max_value=30),
+       st.lists(_OFFSET, max_size=20),
+       st.floats(min_value=1e-9, max_value=1.0))
+def test_rejected_bulk_schedule_leaves_queue_untouched(before, consume,
+                                                       offsets, undershoot):
+    """A batch with any item below the floor schedules nothing at all."""
+    queue, untouched = EventQueue(), EventQueue()
+    for target in (queue, untouched):
+        action_id = target.register_action(lambda arg: None)
+        for time_s, prio in before:
+            target.schedule_id(time_s, action_id, prio, "prior")
+    floor = 0.0
+    for _ in range(consume % (len(before) + 1)):
+        floor = queue.take()[0]
+        untouched.take()
+    floor += 1e-3  # strictly above every drained time
+    items = [(floor + offset, i) for i, offset in enumerate(offsets)]
+    items.append((floor - undershoot, "late"))
+    with pytest.raises(SchedulingError):
+        queue.schedule_id_many(action_id, PRIORITY_DATA, items,
+                               floor_s=floor)
+    assert len(queue) == len(untouched)
+    assert queue.seq_counter == untouched.seq_counter
+    assert _drain_with_args(queue) == _drain_with_args(untouched)

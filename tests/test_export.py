@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harness.scenarios import figure1
 from repro.sim.engine import Engine
+from repro.sim.latency import COMPONENTS
 from repro.sim.network import ChainNetwork
 from repro.telemetry.export import (load_packets_jsonl, packets_to_jsonl,
                                     series_to_csv)
@@ -57,28 +58,31 @@ class TestSeriesCsv:
 class TestPacketsJsonl:
     def test_dump_and_load(self, tmp_path, run_network):
         path = tmp_path / "packets.jsonl"
-        count = packets_to_jsonl(run_network.delivered, path,
-                                 ledger=run_network.ledger)
+        count = packets_to_jsonl(run_network.delivered, path)
         assert count == 20
         rows = load_packets_jsonl(path)
         assert len(rows) == 20
         assert rows[0]["seq"] == 0
         assert rows[0]["latency_s"] > 0
 
-    def test_component_columns_present_with_ledger(self, tmp_path,
-                                                   run_network):
-        path = tmp_path / "packets.jsonl"
-        packets_to_jsonl(run_network.delivered, path,
-                         ledger=run_network.ledger)
-        row = load_packets_jsonl(path)[0]
-        component_sum = sum(row[f"latency_{c}_s"] for c in
-                            ("wire", "processing", "queueing", "pcie"))
-        assert component_sum == pytest.approx(row["latency_s"])
-
-    def test_no_ledger_no_component_columns(self, tmp_path, run_network):
+    def test_component_columns_sum_to_latency(self, tmp_path, run_network):
         path = tmp_path / "packets.jsonl"
         packets_to_jsonl(run_network.delivered, path)
-        assert "latency_pcie_s" not in load_packets_jsonl(path)[0]
+        for packet, row in zip(run_network.delivered,
+                               load_packets_jsonl(path)):
+            for component in COMPONENTS:
+                # JSON floats round-trip exactly.
+                assert row[f"latency_{component}_s"] == \
+                    getattr(packet, component)
+            component_sum = sum(row[f"latency_{c}_s"] for c in COMPONENTS)
+            assert component_sum == pytest.approx(row["latency_s"])
+
+    def test_undelivered_packet_has_zero_components(self, tmp_path):
+        path = tmp_path / "packets.jsonl"
+        packets_to_jsonl([Packet(seq=3, size_bytes=64, arrival_s=0.0)], path)
+        row = load_packets_jsonl(path)[0]
+        assert row["latency_s"] is None
+        assert all(row[f"latency_{c}_s"] == 0.0 for c in COMPONENTS)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

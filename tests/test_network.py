@@ -49,55 +49,50 @@ class TestDelivery:
     def test_latency_equals_component_sum(self, fig1_net):
         server, engine, network = fig1_net
         packet = run_one_packet(network, engine)
-        record = network.ledger.record_for(0)
-        assert packet.latency_s == pytest.approx(record.total)
+        assert packet.latency_s == pytest.approx(
+            packet.wire + packet.processing + packet.queueing + packet.pcie)
 
     def test_pcie_component_matches_crossing_times(self, fig1_net):
         server, engine, network = fig1_net
-        run_one_packet(network, engine)
-        record = network.ledger.record_for(0)
-        assert record.pcie == pytest.approx(
+        packet = run_one_packet(network, engine)
+        assert packet.pcie == pytest.approx(
             3 * server.pcie.crossing_time(256))
 
     def test_processing_component_sums_all_nfs(self, fig1_net):
         server, engine, network = fig1_net
-        run_one_packet(network, engine)
-        record = network.ledger.record_for(0)
+        packet = run_one_packet(network, engine)
         expected = sum(
             server.device(server.placement.device_of(nf.name))
                   .service_time(nf, 256)
             for nf in server.placement.chain)
-        assert record.processing == pytest.approx(expected)
+        assert packet.processing == pytest.approx(expected)
 
 
 class TestEndpoints:
     def test_host_terminated_chain_has_no_egress_wire(self, fig1_placement):
         # fig1 egress is CPU: exactly one wire serialisation (ingress).
         server, engine, network = build_network(fig1_placement)
-        run_one_packet(network, engine)
-        record = network.ledger.record_for(0)
+        packet = run_one_packet(network, engine)
         from repro.units import wire_time
-        assert record.wire == pytest.approx(
+        assert packet.wire == pytest.approx(
             wire_time(256, server.nic.port_rate_bps))
 
     def test_bump_in_wire_pays_wire_twice(self):
         _, placement = (ChainBuilder("b", profiles=catalog.FIGURE1_SCENARIO)
                         .nic("monitor").build())
         server, engine, network = build_network(placement)
-        run_one_packet(network, engine)
-        record = network.ledger.record_for(0)
+        packet = run_one_packet(network, engine)
         from repro.units import wire_time
-        assert record.wire == pytest.approx(
+        assert packet.wire == pytest.approx(
             2 * wire_time(256, server.nic.port_rate_bps))
 
     def test_host_originated_chain_skips_ingress_wire(self):
         _, placement = (ChainBuilder("o", profiles=catalog.FIGURE1_SCENARIO)
                         .cpu("monitor").build(ingress=C, egress=C))
         server, engine, network = build_network(placement)
-        run_one_packet(network, engine)
-        record = network.ledger.record_for(0)
-        assert record.wire == 0.0
-        assert record.pcie == 0.0
+        packet = run_one_packet(network, engine)
+        assert packet.wire == 0.0
+        assert packet.pcie == 0.0
 
     def test_cpu_tail_to_nic_egress_crosses_back(self):
         _, placement = (ChainBuilder("t", profiles=catalog.FIGURE1_SCENARIO)

@@ -7,7 +7,6 @@ from repro.devices.cpu import CPU
 from repro.devices.smartnic import SmartNIC
 from repro.errors import MigrationError
 from repro.sim.engine import Engine
-from repro.sim.latency import LatencyLedger
 from repro.sim.nfinstance import NFStation
 from repro.traffic.packet import Packet
 from repro.units import gbps
@@ -18,13 +17,12 @@ class Harness:
 
     def __init__(self, nf_name="monitor", device=None):
         self.engine = Engine()
-        self.ledger = LatencyLedger()
         self.device = device or SmartNIC("nic")
         self.profile = catalog.get(nf_name)
         self.device.host(self.profile)
         self.completed = []
         self.station = NFStation(self.profile, self.device, self.engine,
-                                 self.ledger, self._on_complete)
+                                 self._on_complete)
 
     def _on_complete(self, packet, nf_name, now_s):
         self.completed.append((packet.seq, now_s))
@@ -38,14 +36,13 @@ class Harness:
 class TestService:
     def test_single_packet_latency_components(self):
         h = Harness()
-        h.inject(0, at_s=0.0)
+        packet = h.inject(0, at_s=0.0)
         h.engine.run()
         assert len(h.completed) == 1
-        record = h.ledger.record_for(0)
         expected = h.device.occupancy_time(h.profile, 256) + \
             h.profile.base_latency_s
-        assert record.processing == pytest.approx(expected)
-        assert record.queueing == 0.0
+        assert packet.processing == pytest.approx(expected)
+        assert packet.queueing == 0.0
 
     def test_completion_time_is_occupancy_plus_pipeline(self):
         h = Harness()
@@ -58,9 +55,9 @@ class TestService:
     def test_back_to_back_packets_queue(self):
         h = Harness()
         h.inject(0, at_s=0.0)
-        h.inject(1, at_s=0.0)
+        second = h.inject(1, at_s=0.0)
         h.engine.run()
-        assert h.ledger.record_for(1).queueing > 0.0
+        assert second.queueing > 0.0
 
     def test_pipelining_not_head_of_line_blocked_by_base_latency(self):
         # Two packets arriving together must both finish within one
@@ -127,10 +124,10 @@ class TestPauseResume:
     def test_buffer_wait_counts_as_queueing(self):
         h = Harness()
         h.engine.at(0.0, h.station.pause)
-        h.inject(0, at_s=0.001)
+        packet = h.inject(0, at_s=0.001)
         h.engine.at(0.005, h.station.resume)
         h.engine.run()
-        assert h.ledger.record_for(0).queueing >= 0.004 - 1e-12
+        assert packet.queueing >= 0.004 - 1e-12
 
     def test_pause_drains_queue_into_buffer(self):
         h = Harness()

@@ -76,6 +76,16 @@ class TestProfiledArrivals:
         during = sum(1 for p in packets if p.arrival_s >= 0.005)
         assert during > 3 * before
 
+    def test_batched_stream_equals_scalar_loop(self):
+        # The spike's rate changes mid-epoch, so chunks are cut at the
+        # first timestamp that sees the new rate.
+        profile = spike(gbps(1.0), gbps(4.0), start_s=0.002, duration_s=0.001)
+        gen = ProfiledArrivals(profile, FixedSize(128), duration_s=0.008,
+                               seed=9, jitter=False)
+        batched = list(gen.packets())
+        assert len(batched) > 2 * 4096
+        assert batched == list(gen._packets_deterministic())
+
     def test_jitterless_profile_is_deterministic_cbr(self):
         gen = ProfiledArrivals(constant(gbps(1.0)), FixedSize(256),
                                duration_s=0.001, jitter=False)
