@@ -24,8 +24,14 @@ _ENGINE_HOME = ("repro.sim.engine", "repro.sim.events")
 _HEAP_FNS = frozenset({"heappush", "heappop", "heapify", "heapreplace",
                        "heappushpop", "merge", "nsmallest", "nlargest"})
 
-#: Private scheduler attributes nothing outside the engine may touch.
-_SCHEDULER_PRIVATES = frozenset({"_queue", "_heap", "_counter"})
+#: Private scheduler attributes nothing outside the engine may touch:
+#: the engine's queue, and the calendar and action table the engine's
+#: drain loop reads without per-event structure checks.  Names other
+#: classes also use on a ``queue`` receiver (``PacketQueue._size``)
+#: stay out, or the rule would flag their own methods.
+_SCHEDULER_PRIVATES = frozenset({"_queue", "_current", "_pos", "_buckets",
+                                 "_bucket_heap", "_current_id",
+                                 "_action_table"})
 
 
 @register
@@ -64,11 +70,14 @@ class SchedulerInternalsRule(LintRule):
     code = "EVT302"
     name = "scheduler-internals"
     severity = Severity.ERROR
-    rationale = ("Mutating engine internals (its heap, its counter) or "
-                 "writing now_s from an event handler breaks the engine's "
-                 "invariant that the clock only advances by popping the "
-                 "queue. Use Engine.at/after, Event.cancel, and let the "
-                 "engine own its clock.")
+    rationale = ("Touching the scheduler's internals (the engine's "
+                 "queue, its calendar buckets, cursor or action table) "
+                 "from an event handler bypasses the checks that keep "
+                 "every push at or after the clock, which the engine's "
+                 "bucket-at-a-time drain relies on; writing now_s breaks "
+                 "the invariant that the clock only advances by popping "
+                 "the queue. Use Engine.at/after, Event.cancel, and let "
+                 "the engine own its clock.")
 
     def visit_Attribute(self, node: ast.Attribute, ctx: ModuleContext) -> None:
         """Flag access to scheduler-private attributes."""

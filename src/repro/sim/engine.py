@@ -108,8 +108,9 @@ class Engine:
 
     def after(self, delay_s: float, action, control: bool = False) -> Event:
         """Schedule ``action`` ``delay_s`` seconds from now."""
-        if delay_s < 0:
-            raise SchedulingError(f"negative delay {delay_s}")
+        if not delay_s >= 0:  # also rejects NaN
+            raise SchedulingError(
+                f"delay must be non-negative, got {delay_s}")
         return self.at(self.now_s + delay_s, action, control)
 
     def register_action(self, action) -> int:
@@ -136,17 +137,22 @@ class Engine:
         The calendar insert is inlined (the engine co-owns the
         scheduler; only the rare new-bucket case calls back into it) —
         this and :meth:`call_after_id` are the hottest calls in packet
-        mode.
+        mode.  Times before the clock or non-finite raise
+        :class:`SchedulingError` before anything is queued.
         """
         if time_s < self.now_s:
             raise SchedulingError(
                 f"cannot schedule at {time_s:.9f}, clock is at {self.now_s:.9f}")
         queue = self._queue
+        try:
+            bucket_id = int(time_s * queue._inv_width)
+        except (ValueError, OverflowError):  # NaN, +inf
+            raise SchedulingError(
+                f"cannot schedule at non-finite time {time_s}") from None
         seq = queue._seq
         queue._seq = seq + 1
         entry = (time_s, PRIORITY_CONTROL if control else PRIORITY_DATA,
                  seq, action_id, arg)
-        bucket_id = int(time_s * queue._inv_width)
         if bucket_id == queue._current_id:
             insort(queue._current, entry, queue._pos)
         else:
@@ -155,24 +161,28 @@ class Engine:
                 queue._new_bucket(bucket_id, entry)
             else:
                 bucket.append(entry)
-        queue._count += 1
 
     def call_after_id(self, delay_s: float, action_id: int,
                       arg: object = _NO_ARG, control: bool = False) -> None:
         """Schedule a pre-registered action by id after a delay.
 
         A non-negative delay from ``now`` can never land before the
-        clock, so no further validation is needed.
+        clock; a negative or non-finite one raises
+        :class:`SchedulingError` before anything is queued.
         """
-        if delay_s < 0:
-            raise SchedulingError(f"negative delay {delay_s}")
+        if not delay_s >= 0:  # also rejects NaN
+            raise SchedulingError(
+                f"delay must be non-negative, got {delay_s}")
         time_s = self.now_s + delay_s
         queue = self._queue
+        try:
+            bucket_id = int(time_s * queue._inv_width)
+        except OverflowError:  # +inf
+            raise SchedulingError(f"non-finite delay {delay_s}") from None
         seq = queue._seq
         queue._seq = seq + 1
         entry = (time_s, PRIORITY_CONTROL if control else PRIORITY_DATA,
                  seq, action_id, arg)
-        bucket_id = int(time_s * queue._inv_width)
         if bucket_id == queue._current_id:
             insort(queue._current, entry, queue._pos)
         else:
@@ -181,7 +191,6 @@ class Engine:
                 queue._new_bucket(bucket_id, entry)
             else:
                 bucket.append(entry)
-        queue._count += 1
 
     def call_after_id_pair(self, delay_a: float, action_id_a: int,
                            delay_b: float, action_id_b: int,
@@ -192,42 +201,45 @@ class Engine:
         Every served packet schedules exactly this pair (server-free at
         occupancy, emit at full delay); fusing them halves the call
         overhead and shares the per-call loads.  Seq order matches two
-        consecutive :meth:`call_after_id` calls.
+        consecutive :meth:`call_after_id` calls.  Both delays are
+        validated first, so a rejected pair queues neither entry.
         """
-        if delay_a < 0 or delay_b < 0:
+        if not (delay_a >= 0 and delay_b >= 0):  # also rejects NaN
             raise SchedulingError(
-                f"negative delay in pair ({delay_a}, {delay_b})")
+                f"delays must be non-negative, got ({delay_a}, {delay_b})")
         now_s = self.now_s
         queue = self._queue
+        inv_width = queue._inv_width
+        time_a = now_s + delay_a
+        time_b = now_s + delay_b
+        try:
+            bucket_a = int(time_a * inv_width)
+            bucket_b = int(time_b * inv_width)
+        except OverflowError:  # +inf
+            raise SchedulingError(
+                f"non-finite delay in pair ({delay_a}, {delay_b})") from None
         seq = queue._seq
         queue._seq = seq + 2
-        inv_width = queue._inv_width
         current_id = queue._current_id
         buckets = queue._buckets
-        current = queue._current
-        time_s = now_s + delay_a
-        entry = (time_s, PRIORITY_DATA, seq, action_id_a, _NO_ARG)
-        bucket_id = int(time_s * inv_width)
-        if bucket_id == current_id:
-            insort(current, entry, queue._pos)
+        entry = (time_a, PRIORITY_DATA, seq, action_id_a, _NO_ARG)
+        if bucket_a == current_id:
+            insort(queue._current, entry, queue._pos)
         else:
-            bucket = buckets.get(bucket_id)
+            bucket = buckets.get(bucket_a)
             if bucket is None:
-                queue._new_bucket(bucket_id, entry)
+                queue._new_bucket(bucket_a, entry)
             else:
                 bucket.append(entry)
-        time_s = now_s + delay_b
-        entry = (time_s, PRIORITY_DATA, seq + 1, action_id_b, arg_b)
-        bucket_id = int(time_s * inv_width)
-        if bucket_id == current_id:
-            insort(current, entry, queue._pos)
+        entry = (time_b, PRIORITY_DATA, seq + 1, action_id_b, arg_b)
+        if bucket_b == current_id:
+            insort(queue._current, entry, queue._pos)
         else:
-            bucket = buckets.get(bucket_id)
+            bucket = buckets.get(bucket_b)
             if bucket is None:
-                queue._new_bucket(bucket_id, entry)
+                queue._new_bucket(bucket_b, entry)
             else:
                 bucket.append(entry)
-        queue._count += 2
 
     def call_at_id_many(self, action_id: int,
                         items, control: bool = False) -> int:
@@ -263,22 +275,27 @@ class Engine:
         remaining = max_events if max_events is not None else (1 << 62)
         horizon = until_s if until_s is not None else float("inf")
         queue = self._queue
+        advance = queue._advance
         tracing = bool(self._trace_observers)
         trace_buffer = self._trace_buffer
         # The drain loop reads the scheduler's slab columns and current
         # bucket directly (the engine co-owns the scheduler per the
-        # simulation-safety lint); all *structural* mutation — bucket
-        # swaps, demotions, the bucket heap — stays in
-        # ``EventQueue._advance``.  ``queue._pos`` is re-synced before
-        # every action and every return so the queue is consistent
-        # whenever model code (or an exception) can observe it.
+        # simulation-safety lint); all *structural* work — loading the
+        # next bucket, demoting a preempted tail — happens once per
+        # bucket in ``EventQueue._advance``.  Within a bucket nothing
+        # can preempt it: every scheduling path rejects times before
+        # the clock, and the clock lies inside the current bucket, so
+        # pushes either insort into its tail or go to a later bucket.
+        # (A horizon stop can leave the clock before the current bucket;
+        # the next run's first ``_advance`` catches pushes made then.)
+        # ``queue._pos`` is stored before every action — it is the
+        # ``lo`` of same-bucket insorts — and before every return.
         table = queue._action_table
         cancelled = queue._cancelled
         actions = queue._actions
         args = queue._args
         seqs = queue._seqs
         free = queue._free
-        bucket_heap = queue._bucket_heap
         # The drain loop allocates short-lived acyclic objects (calendar
         # entries, packets' latency math) at a rate that keeps tripping
         # gen-0 collections; none of them need the cycle collector, so
@@ -287,33 +304,23 @@ class Engine:
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                # (Re-)localise the current bucket.  ``_advance`` bumps
-                # ``_epoch`` whenever it swaps the bucket out from under
-                # these locals, which sends us back here.
+            while advance():
                 current = queue._current
                 pos = queue._pos
-                current_id = queue._current_id
-                epoch = queue._epoch
-                n = len(current)
                 # Countdown to the next trace flush (cheaper than a
-                # len() per event); recomputed here because a flush may
-                # happen from within an action via flush_trace().
+                # len() per event); recomputed per bucket because a
+                # flush may happen from within an action via
+                # flush_trace().
                 trace_left = _TRACE_BATCH - len(trace_buffer)
                 while True:
                     if remaining <= 0:
                         queue._pos = pos
                         return
-                    if ((bucket_heap and bucket_heap[0] < current_id)
-                            or pos >= n):
+                    try:
+                        time_s, priority, seq, action_id, arg = current[pos]
+                    except IndexError:  # bucket consumed
                         queue._pos = pos
-                        if pos >= n and not bucket_heap:
-                            # Queue drained: the clock stays where the
-                            # last event put it.
-                            return
-                        queue._advance()
                         break
-                    time_s, priority, seq, action_id, arg = current[pos]
                     if action_id >= 0:
                         if time_s > horizon:
                             # Horizon reached with events still queued:
@@ -321,17 +328,11 @@ class Engine:
                             queue._pos = pos
                             self.now_s = horizon
                             return
-                        remaining -= 1
-                        pos += 1
-                        queue._pos = pos
-                        queue._count -= 1
                         action = table[action_id]
                     else:
                         index = -1 - action_id
                         if cancelled[index]:
                             pos += 1
-                            queue._pos = pos
-                            queue._count -= 1
                             seqs[index] = -1
                             actions[index] = None
                             args[index] = None
@@ -341,16 +342,15 @@ class Engine:
                             queue._pos = pos
                             self.now_s = horizon
                             return
-                        remaining -= 1
-                        pos += 1
-                        queue._pos = pos
-                        queue._count -= 1
                         action = actions[index]
                         arg = _NO_ARG
                         seqs[index] = -1
                         actions[index] = None
                         args[index] = None
                         free.append(index)
+                    remaining -= 1
+                    pos += 1
+                    queue._pos = pos
                     self.now_s = time_s
                     if tracing:
                         trace_buffer.append((time_s, priority, seq))
@@ -363,11 +363,7 @@ class Engine:
                     else:
                         action(arg)
                     self.events_processed += 1
-                    if queue._epoch != epoch:
-                        break
-                    # The action may have insorted into the current
-                    # bucket's unconsumed tail.
-                    n = len(current)
+            # Queue drained: the clock stays where the last event put it.
         finally:
             self._running = False
             if gc_was_enabled:

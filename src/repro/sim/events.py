@@ -15,12 +15,15 @@ buckets keyed by ``int(time * inv_width)``.  Pending buckets sit
 unsorted in a dict behind a small heap of bucket ids; only the
 *current* bucket is sorted, and it is consumed through a position
 cursor so a pop is an index increment, not a heap sift.  Same-bucket
-pushes bisect-insert into the unconsumed tail; pushes into an earlier
-bucket preempt the current one on the next pop (its tail is demoted
-back to the calendar).  Bucket ids are monotone in time and the
-in-bucket sort key is the exact legacy heap order — ``(time, priority,
-seq)`` compared as a tuple — so the refactor is order-identical to the
-old per-``Event``-object min-heap.
+pushes bisect-insert into the unconsumed tail.  All structural work —
+loading the next bucket, and demoting the current bucket's tail when a
+push landed in an earlier bucket — happens in :meth:`EventQueue._advance`,
+once per bucket: the engine drains a bucket without per-event structure
+checks, because a push made while an event runs is never earlier than
+the clock and so never lands before the current bucket.  Bucket ids are
+monotone in time and the in-bucket sort key is the full ``(time,
+priority, seq)`` tuple, so the drain order never depends on the bucket
+width.  The pending count is derived from the buckets, not kept.
 """
 
 from __future__ import annotations
@@ -46,11 +49,12 @@ PRIORITY_CONTROL = 0
 PRIORITY_DATA = 1
 
 #: Calendar bucket width.  Chosen against the packet-mode workloads:
-#: service times are O(100 ns)..O(10 us), so 32 us buckets hold tens to
-#: a few hundred events — wide enough that the bucket heap stays tiny,
-#: narrow enough that in-bucket sorts stay short.  Correctness does not
-#: depend on the value, only constant factors do.
-DEFAULT_BUCKET_WIDTH_S = 32e-6
+#: on figure2 a 4 us bucket holds ~170 entries when a same-bucket push
+#: bisects into it, with ~70 of them still unconsumed (32 us: ~1,100 and
+#: ~480), so the tuple-comparing bisect and the tail shift stay short
+#: while the bucket heap stays small.  Correctness does not depend on
+#: the value, only constant factors do.
+DEFAULT_BUCKET_WIDTH_S = 4e-6
 
 #: An entry as stored in calendar buckets: ``(time, priority, seq,
 #: action_id, arg)``.  Tuple comparison on the first three fields gives
@@ -114,11 +118,11 @@ class EventQueue:
     attributes per event.
     """
 
-    __slots__ = ("_seq", "_count", "_times", "_prios", "_seqs",
+    __slots__ = ("_seq", "_times", "_prios", "_seqs",
                  "_cancelled", "_actions", "_args", "_free",
                  "_action_table", "_action_ids", "_inv_width",
                  "_buckets", "_bucket_heap", "_current", "_pos",
-                 "_current_id", "_epoch")
+                 "_current_id")
 
     def __init__(self, bucket_width_s: float = DEFAULT_BUCKET_WIDTH_S) -> None:
         if bucket_width_s <= 0:
@@ -128,7 +132,6 @@ class EventQueue:
         # of the deterministic simulation state a checkpoint captures,
         # so it must be readable and settable.
         self._seq = 0
-        self._count = 0
         # Slab: parallel arrays, one row per scheduled event.
         self._times: List[float] = []
         self._prios: List[int] = []
@@ -151,13 +154,12 @@ class EventQueue:
         self._current: List[_Entry] = []
         self._pos = 0
         self._current_id = -1
-        #: Bumped whenever the current bucket is replaced; lets the
-        #: engine's inlined drain loop detect that its local view of
-        #: ``_current``/``_pos`` went stale mid-action.
-        self._epoch = 0
 
     def __len__(self) -> int:
-        return self._count
+        # Derived, not counted: only pending() and checkpoint snapshots
+        # ask, so the drain loop keeps no per-event tally.
+        return (len(self._current) - self._pos
+                + sum(map(len, self._buckets.values())))
 
     @property
     def seq_counter(self) -> int:
@@ -212,6 +214,33 @@ class EventQueue:
         table[action_id] = action
         self._action_ids.setdefault(action, action_id)
 
+    def _bucket_of(self, time_s: float) -> int:
+        """Calendar bucket of ``time_s``, which must be finite and >= 0."""
+        if time_s >= 0:  # False for NaN
+            try:
+                return int(time_s * self._inv_width)
+            except OverflowError:  # +inf
+                pass
+        raise SchedulingError(f"cannot schedule at time {time_s}: times "
+                              "must be finite and non-negative")
+
+    def _insert(self, bucket_id: int, entry: _Entry) -> None:
+        """Queue ``entry`` in calendar bucket ``bucket_id``."""
+        if bucket_id == self._current_id:
+            # Into the unconsumed tail of the current sorted bucket.
+            insort(self._current, entry, self._pos)
+        else:
+            bucket = self._buckets.get(bucket_id)
+            if bucket is None:
+                self._new_bucket(bucket_id, entry)
+            else:
+                bucket.append(entry)
+
+    def _new_bucket(self, bucket_id: int, entry: _Entry) -> None:
+        """Open a fresh calendar bucket (heap mutation stays here)."""
+        self._buckets[bucket_id] = [entry]
+        heappush(self._bucket_heap, bucket_id)
+
     def schedule_id(self, time_s: float, action_id: int, priority: int,
                     arg: object = _NO_ARG) -> None:
         """Handle-free hot path: schedule a pre-registered action.
@@ -219,28 +248,10 @@ class EventQueue:
         The calendar entry carries the whole event — no slab row, no
         cancellation support, no :class:`Event` handle.
         """
-        if time_s < 0:
-            raise SchedulingError(f"cannot schedule at negative time {time_s}")
+        bucket_id = self._bucket_of(time_s)
         seq = self._seq
         self._seq = seq + 1
-        entry = (time_s, priority, seq, action_id, arg)
-        bucket_id = int(time_s * self._inv_width)
-        if bucket_id == self._current_id:
-            # Into the unconsumed tail of the current sorted bucket.
-            insort(self._current, entry, self._pos)
-        else:
-            bucket = self._buckets.get(bucket_id)
-            if bucket is None:
-                self._buckets[bucket_id] = [entry]
-                heappush(self._bucket_heap, bucket_id)
-            else:
-                bucket.append(entry)
-        self._count += 1
-
-    def _new_bucket(self, bucket_id: int, entry: _Entry) -> None:
-        """Open a fresh calendar bucket (heap mutation stays here)."""
-        self._buckets[bucket_id] = [entry]
-        heappush(self._bucket_heap, bucket_id)
+        self._insert(bucket_id, (time_s, priority, seq, action_id, arg))
 
     def schedule_id_many(self, action_id: int, priority: int,
                          items: Iterable[Tuple[float, object]],
@@ -251,10 +262,10 @@ class EventQueue:
         ordering semantics to one :meth:`schedule_id` call per item.
         The whole batch is validated and its entries built before
         anything is queued, so a timestamp below ``floor_s`` (callers
-        pass the current clock) raises and leaves the queue untouched.
-        Each calendar bucket is then extended once per run of
-        consecutive items that land in it.  Returns the number of
-        events scheduled.
+        pass the current clock) or a non-finite one raises and leaves
+        the queue untouched.  Each calendar bucket is then extended once
+        per run of consecutive items that land in it.  Returns the
+        number of events scheduled.
         """
         # Validate and build in one pass, dropping each (time_s, arg)
         # pair as it is consumed: keeping the pairs alive to validate
@@ -272,9 +283,12 @@ class EventQueue:
             seq += 1
         # int(time_s * inv_width) per entry, as schedule_id computes it
         # (IEEE multiplication commutes exactly).
-        bucket_ids = list(map(int, map(self._inv_width.__mul__,
-                                       map(itemgetter(0), entries))))
-        count = len(entries)
+        try:
+            bucket_ids = list(map(int, map(self._inv_width.__mul__,
+                                           map(itemgetter(0), entries))))
+        except OverflowError:
+            raise SchedulingError(
+                "cannot schedule at a non-finite time") from None
         buckets = self._buckets
         current_id = self._current_id
         start = 0
@@ -294,8 +308,7 @@ class EventQueue:
                     bucket.extend(entries[start:stop])
             start = stop
         self._seq = seq
-        self._count += count
-        return count
+        return len(entries)
 
     def push(self, time_s: float, action: Action,
              priority: int = PRIORITY_DATA) -> Event:
@@ -306,8 +319,7 @@ class EventQueue:
         can invalidate them in O(1); the calendar entry encodes the row
         as a negative action id.
         """
-        if time_s < 0:
-            raise SchedulingError(f"cannot schedule at negative time {time_s}")
+        bucket_id = self._bucket_of(time_s)
         seq = self._seq
         self._seq = seq + 1
         free = self._free
@@ -327,18 +339,7 @@ class EventQueue:
             self._cancelled.append(False)
             self._actions.append(action)
             self._args.append(_NO_ARG)
-        entry = (time_s, priority, seq, -1 - index, _NO_ARG)
-        bucket_id = int(time_s * self._inv_width)
-        if bucket_id == self._current_id:
-            insort(self._current, entry, self._pos)
-        else:
-            bucket = self._buckets.get(bucket_id)
-            if bucket is None:
-                self._buckets[bucket_id] = [entry]
-                heappush(self._bucket_heap, bucket_id)
-            else:
-                bucket.append(entry)
-        self._count += 1
+        self._insert(bucket_id, (time_s, priority, seq, -1 - index, _NO_ARG))
         event = Event.__new__(Event)
         event.time_s = time_s
         event.priority = priority
@@ -361,17 +362,17 @@ class EventQueue:
     def _advance(self) -> bool:
         """Make the earliest pending bucket current; False when none.
 
+        True means ``_current[_pos]`` is the earliest queued entry.
         Demotes the unconsumed tail of the current bucket back to the
-        calendar first when a push preempted it (landed in an earlier
-        bucket).  All heap mutation for bucket ordering happens here.
+        calendar first when a push landed in an earlier bucket.  All
+        heap mutation for bucket ordering happens here.
         """
         current = self._current
-        pos = self._pos
         bucket_heap = self._bucket_heap
-        if pos < len(current):
+        if self._pos < len(current):
             if not bucket_heap or bucket_heap[0] > self._current_id:
                 return True  # current bucket is still the earliest
-            tail = current[pos:]
+            tail = current[self._pos:]
             bucket = self._buckets.get(self._current_id)
             if bucket is None:
                 self._buckets[self._current_id] = tail
@@ -382,7 +383,6 @@ class EventQueue:
             self._current = []
             self._pos = 0
             self._current_id = -1
-            self._epoch += 1
             return False
         bucket_id = heappop(bucket_heap)
         loaded = self._buckets.pop(bucket_id)
@@ -390,7 +390,6 @@ class EventQueue:
         self._current = loaded
         self._pos = 0
         self._current_id = bucket_id
-        self._epoch += 1
         return True
 
     def take(self, until_s: Optional[float] = None,
@@ -402,39 +401,25 @@ class EventQueue:
         the queue is empty or the head lies strictly beyond ``until_s``
         (the head then stays queued).
         """
-        cancelled = self._cancelled
-        while True:
-            current = self._current
+        while self._advance():
             pos = self._pos
-            bucket_heap = self._bucket_heap
-            if ((bucket_heap and bucket_heap[0] < self._current_id)
-                    or pos >= len(current)):
-                if pos >= len(current) and not bucket_heap:
-                    return None
-                self._advance()
-                continue
-            entry = current[pos]
-            action_id = entry[3]
+            time_s, priority, seq, action_id, arg = self._current[pos]
             if action_id >= 0:
-                if until_s is not None and entry[0] > until_s:
-                    return None
-                self._pos = pos + 1
-                self._count -= 1
-                return (entry[0], entry[1], entry[2],
-                        self._action_table[action_id], entry[4])
-            index = -1 - action_id
-            if cancelled[index]:
-                self._pos = pos + 1
-                self._count -= 1
-                self._release(index)
-                continue
-            if until_s is not None and entry[0] > until_s:
+                action = self._action_table[action_id]
+            else:
+                index = -1 - action_id
+                if self._cancelled[index]:
+                    self._pos = pos + 1
+                    self._release(index)
+                    continue
+                action = self._actions[index]
+            if until_s is not None and time_s > until_s:
                 return None
             self._pos = pos + 1
-            self._count -= 1
-            action = self._actions[index]
-            self._release(index)
-            return (entry[0], entry[1], entry[2], action, _NO_ARG)
+            if action_id < 0:
+                self._release(index)
+            return (time_s, priority, seq, action, arg)
+        return None
 
     def pop(self) -> Optional[Event]:
         """The next non-cancelled event, or None when empty.
@@ -463,25 +448,15 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event without removing it."""
-        cancelled = self._cancelled
-        while True:
-            current = self._current
+        while self._advance():
             pos = self._pos
-            bucket_heap = self._bucket_heap
-            if ((bucket_heap and bucket_heap[0] < self._current_id)
-                    or pos >= len(current)):
-                if pos >= len(current) and not bucket_heap:
-                    return None
-                self._advance()
-                continue
-            entry = current[pos]
-            action_id = entry[3]
-            if action_id < 0 and cancelled[-1 - action_id]:
+            action_id = self._current[pos][3]
+            if action_id < 0 and self._cancelled[-1 - action_id]:
                 self._pos = pos + 1
-                self._count -= 1
                 self._release(-1 - action_id)
                 continue
-            return entry[0]
+            return self._current[pos][0]
+        return None
 
     # -- checkpointing -----------------------------------------------------
 
@@ -495,7 +470,7 @@ class EventQueue:
         """
         return {
             "seq_counter": self._seq,
-            "pending": self._count,
+            "pending": len(self),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:

@@ -147,3 +147,79 @@ class TestEngine:
         engine.at(1.0, reenter)
         engine.run()
         assert failures == [True]
+
+    def test_push_before_current_bucket_after_horizon_stop(self):
+        """A horizon stop can leave the clock before the current bucket;
+        an ``at()`` made then lands in an earlier bucket, and the next
+        run must still drain in ``(time, priority, seq)`` order."""
+        engine = Engine()
+        trace = []
+        engine.trace_to(trace)
+        engine.at(0.0, lambda: None)
+        for _ in range(3):
+            engine.at(1e-3, lambda: None)
+        engine.run(until_s=5e-4)
+        queue = engine._queue
+        assert engine.now_s == 5e-4
+        early = 6e-4
+        assert int(early * queue._inv_width) < queue._current_id
+        engine.at(1e-3, lambda: None, control=True)
+        engine.at(early, lambda: None)
+        engine.at(early, lambda: None, control=True)
+        engine.run()
+        assert len(trace) == 7
+        assert trace == sorted(trace)
+        assert [key[0] for key in trace[1:3]] == [early, early]
+        assert engine.pending() == 0
+
+    def test_max_events_stop_counts_cancelled_tail_as_pending(self):
+        engine = Engine()
+        handles = [engine.at(index * 1e-6, lambda: None)
+                   for index in range(8)]
+        handles[3].cancel()
+        handles[4].cancel()
+        engine.run(max_events=3)
+        assert engine.events_processed == 3
+        assert engine.pending() == 8 - 3
+        engine.run()
+        assert engine.events_processed == 6
+        assert engine.pending() == 0
+
+
+def _scheduling_engine():
+    """An engine mid-simulation: a current bucket open, events queued."""
+    engine = Engine()
+    action_id = engine.register_action(lambda arg=None: None)
+    engine.call_at_id(1e-6, action_id)
+    engine.call_at_id(2e-6, action_id)
+    engine.call_at_id(1e-3, action_id)
+    engine.run(max_events=1)
+    return engine, action_id
+
+
+_NON_FINITE_CALLS = {
+    "call_after_id": lambda e, a, t: e.call_after_id(t, a),
+    "call_at_id": lambda e, a, t: e.call_at_id(t, a),
+    "after": lambda e, a, t: e.after(t, lambda: None),
+    "at": lambda e, a, t: e.at(t, lambda: None),
+    "call_at_id_many": lambda e, a, t: e.call_at_id_many(
+        a, [(1e-3, "ok"), (t, "bad")]),
+    "pair_second": lambda e, a, t: e.call_after_id_pair(1e-6, a, t, a),
+    "pair_first": lambda e, a, t: e.call_after_id_pair(t, a, 1e-6, a),
+    "push": lambda e, a, t: e._queue.push(t, lambda: None),
+    "schedule_id": lambda e, a, t: e._queue.schedule_id(t, a, 1),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("path", sorted(_NON_FINITE_CALLS))
+def test_non_finite_time_rejected_without_side_effects(path, value):
+    engine, action_id = _scheduling_engine()
+    pending = engine.pending()
+    seq = engine._queue.seq_counter
+    with pytest.raises(SchedulingError):
+        _NON_FINITE_CALLS[path](engine, action_id, value)
+    assert engine.pending() == pending
+    assert engine._queue.seq_counter == seq
+    engine.run()
+    assert engine.events_processed == 3

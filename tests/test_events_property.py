@@ -70,6 +70,10 @@ class _ReferenceHeap:
     def cancel(self, seq: int) -> None:
         self._cancelled.add(seq)
 
+    def __len__(self) -> int:
+        """Queued keys, cancelled ones included until popped past."""
+        return len(self._heap)
+
     def pop(self):
         while self._heap:
             key = heapq.heappop(self._heap)
@@ -86,11 +90,15 @@ class _ReferenceHeap:
             keys.append(key)
 
 
+@pytest.mark.parametrize("bucket_width_s", [1e-7, 4e-6, 32e-6, 1e-3])
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_OP, max_size=120))
-def test_drain_order_matches_reference_heap(ops):
-    """Any op interleaving drains in exact ``(time, priority, seq)`` order."""
-    queue = EventQueue()
+@given(ops=st.lists(_OP, max_size=120))
+def test_drain_order_matches_reference_heap(bucket_width_s, ops):
+    """Any op interleaving drains in exact ``(time, priority, seq)`` order,
+    whatever the bucket width; the derived pending count tracks the
+    reference heap's (live plus not-yet-skipped cancelled) after every
+    op."""
+    queue = EventQueue(bucket_width_s)
     reference = _ReferenceHeap()
     action_id = queue.register_action(lambda: None)
     handles = []
@@ -115,6 +123,7 @@ def test_drain_order_matches_reference_heap(ops):
             taken = queue.take()
             expected = reference.pop()
             assert (taken[:3] if taken else None) == expected
+        assert len(queue) == len(reference)
     assert _drain(queue) == reference.drain()
     assert len(queue) == 0
 

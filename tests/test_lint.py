@@ -230,6 +230,26 @@ class TestEventRules:
                 engine._queue.pop()
         """)
 
+    @pytest.mark.parametrize("name", ["_current", "_pos", "_buckets",
+                                      "_bucket_heap", "_current_id",
+                                      "_action_table"])
+    def test_evt302_fires_on_calendar_internals(self, name):
+        findings = lint_source(textwrap.dedent(f"""
+            def handler(engine, queue):
+                engine._queue.{name}
+                queue.{name}
+        """), path="src/repro/sample.py")
+        flagged = {finding.message.split()[4].rstrip(";")
+                   for finding in findings if finding.rule == "EVT302"}
+        assert flagged == {"engine._queue", f"engine._queue.{name}",
+                           f"queue.{name}"}
+
+    def test_evt302_silent_on_packet_queue_size(self):
+        assert "EVT302" not in _codes("""
+            def depth(queue):
+                return queue._size
+        """)
+
     def test_evt302_fires_on_clock_write(self):
         assert "EVT302" in _codes("""
             def handler(engine):
