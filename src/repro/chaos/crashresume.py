@@ -151,7 +151,7 @@ def _resume_and_reference(campaign: str, runs: int, seed: int,
                                    seed=seed, duration_s=duration_s)
 
     outcome = run_campaign(build(),
-                           executor=make_executor(workers, None),
+                           executor=make_executor(workers),
                            resume_from=journal_path,
                            checkpoint_every=1)
     reference = run_campaign(build())

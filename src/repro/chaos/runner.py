@@ -249,7 +249,7 @@ class ChaosRunner:
         self.resume_from = resume_from
         self.checkpoint_every = checkpoint_every
         self.workers = workers
-        #: Supervision (deadlines/retry/abort budget); None = plain.
+        #: Supervision (deadlines/retry/abort budget); None = defaults.
         self.supervision = supervision
         #: Scheduled worker-level faults (hang/die/garbage/error), for
         #: exercising the supervisor; None = no sabotage.

@@ -80,12 +80,11 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _supervision_from_args(args: argparse.Namespace):
-    """The SupervisionPolicy the flags describe, or None for plain."""
+    """The SupervisionPolicy the flags describe."""
     from .exec import SupervisionPolicy
-    policy = SupervisionPolicy(run_timeout_s=args.run_timeout,
-                               max_attempts=args.max_attempts,
-                               max_failures=args.max_failures)
-    return policy if policy.active else None
+    return SupervisionPolicy(run_timeout_s=args.run_timeout,
+                             max_attempts=args.max_attempts,
+                             max_failures=args.max_failures)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:

@@ -13,22 +13,21 @@ its own merge logic.  This package is the single replacement:
   spec into an ordered list of :class:`RunRequest`\\ s and turns each
   into a JSON-clean result payload; a kind registry lets worker
   processes rebuild campaigns from their specs alone.
-* :mod:`repro.exec.executors` — pluggable executors:
-  :class:`SerialExecutor` (default, behaviour-identical to the old
-  loops) and the :class:`ProcessPoolExecutor`-backed
-  :class:`ParallelExecutor` (worker-side campaign construction, never
-  pickling an engine/queue/RNG, crash isolation per run).
 * :mod:`repro.exec.driver` — :func:`run_campaign`, which owns the one
   remaining campaign loop: journal middleware (``campaign-start``
   fingerprint, ``run-result`` per completion, ``campaign-progress``
   digests, ``run-attempt``/``campaign-abort`` supervision records,
   ``campaign-end``), journal replay on resume, and the deterministic
   merge of results by request index regardless of completion order.
-* :mod:`repro.exec.supervisor` — the supervision layer:
-  :class:`SupervisionPolicy` (per-run deadlines, bounded seed-derived
-  retry, quarantine, abort budget) and the supervised executors that
-  kill hung workers, rebuild the pool around dead ones, and requeue
-  the in-flight requests.
+* :mod:`repro.exec.supervisor` — the two executors and the policy they
+  run under: :class:`SerialExecutor` (in-process, in order) and
+  :class:`ParallelExecutor` (persistent worker processes on raw pipes,
+  worker-side campaign construction, never pickling an
+  engine/queue/RNG).  Both apply one :class:`SupervisionPolicy` — per-run
+  deadlines, bounded seed-derived retry, quarantine, abort budget; by
+  default one attempt and no limits — so a crashed run is handled the
+  same way at every worker count.  :func:`make_executor` picks between
+  them by worker count.
 * :mod:`repro.exec.faultinject` — a campaign wrapper that makes
   workers hang, die, or return garbage on a declared or seeded
   schedule, so the supervisor is testable under its own rules.
@@ -43,12 +42,10 @@ from .campaign import (Campaign, RunRequest, build_campaign,
                        campaign_kinds, register_campaign)
 from .driver import CampaignOutcome, StopPredicate, run_campaign
 from .errinfo import exception_payload
-from .executors import (Executor, ParallelExecutor, SerialExecutor,
-                        make_executor)
 from .faultinject import FaultInjectedCampaign, FaultPlan, WorkerFault
 from .scenario import Scenario, seed_for
-from .supervisor import (SupervisedParallelExecutor,
-                         SupervisedSerialExecutor, SupervisionPolicy)
+from .supervisor import (Executor, ParallelExecutor, SerialExecutor,
+                         SupervisionPolicy, make_executor)
 
 __all__ = [
     "Campaign",
@@ -60,8 +57,6 @@ __all__ = [
     "RunRequest",
     "Scenario",
     "SerialExecutor",
-    "SupervisedParallelExecutor",
-    "SupervisedSerialExecutor",
     "StopPredicate",
     "SupervisionPolicy",
     "WorkerFault",

@@ -13,10 +13,9 @@ uniformly to every campaign kind ([docs/formats.md], "Run journals"):
 * ``campaign-progress`` — every ``checkpoint_every`` completed runs: a
   completed count and a digest over the completed payloads in index
   order.
-* ``run-attempt`` — one per *failed* attempt under a supervised
-  executor (index, seed, attempt number, outcome, whether it was
-  requeued); successful attempts journal nothing, their payload is the
-  ``run-result``.
+* ``run-attempt`` — one per *failed* attempt (index, seed, attempt
+  number, outcome, whether it was requeued); successful attempts
+  journal nothing, their payload is the ``run-result``.
 * ``campaign-abort`` — appended when execution dies mid-flight (a
   crash, ``KeyboardInterrupt``, or the supervision abort budget), with
   the exception summary and completed count, so a journal always
@@ -46,7 +45,7 @@ from ..checkpoint import (JournalWriter, canonical_json, read_journal,
                           record_checksum)
 from ..errors import CampaignAborted, ConfigurationError
 from .campaign import Campaign
-from .executors import Executor, SerialExecutor
+from .supervisor import Executor, SerialExecutor
 
 #: Budget predicate for :func:`run_campaign`: called with
 #: ``(index, payload)`` after each completed run; a truthy string stops
@@ -151,11 +150,11 @@ def run_campaign(campaign: Campaign,
             writer.append({"kind": "campaign-start",
                            "campaign": campaign.kind,
                            **campaign.fingerprint()})
-    # Supervised executors report failed attempts through an event
-    # sink; the driver journals them and counts quarantines (a
-    # ``requeued: False`` attempt is a run that exhausted its budget)
-    # against the policy's abort budget.
-    policy = getattr(executor, "policy", None)
+    # Executors report failed attempts through an event sink; the
+    # driver journals them and counts quarantines (a ``requeued: False``
+    # attempt is a run that exhausted its budget) against the policy's
+    # abort budget.
+    policy = executor.policy
     quarantined = 0
 
     def on_attempt(record: Dict[str, object]) -> None:
@@ -165,8 +164,7 @@ def run_campaign(campaign: Campaign,
         if writer is not None:
             writer.append(record)
 
-    if hasattr(executor, "set_event_sink"):
-        executor.set_event_sink(on_attempt)
+    executor.set_event_sink(on_attempt)
     executed = 0
     stopped: Optional[str] = None
     try:
@@ -181,8 +179,7 @@ def run_campaign(campaign: Campaign,
                     writer.append({"kind": "campaign-progress",
                                    "completed": len(completed),
                                    "digest": record_checksum(ordered)})
-            if policy is not None and policy.failures_exceeded(
-                    quarantined, len(requests)):
+            if policy.failures_exceeded(quarantined, len(requests)):
                 raise CampaignAborted(
                     f"campaign aborted: {quarantined} run(s) quarantined "
                     f"with {policy.allowed_failures(len(requests))} "

@@ -10,13 +10,13 @@ reproducers are diagnosable straight from the journal.
 Two properties matter for the determinism contract:
 
 * **Executor frames are filtered out.**  The same scenario failure is
-  caught by :class:`SupervisedSerialExecutor` in-process but by the
-  worker main loop under :class:`SupervisedParallelExecutor`; keeping
-  harness frames would make the payload depend on the executor and
-  break the pinned serial == parallel bit-exactness.  Frames from
-  ``repro/exec/executors.py`` and ``repro/exec/supervisor.py`` are
-  dropped; everything else (including the deliberate raise sites in
-  ``repro/exec/faultinject.py``) is kept.
+  caught by :class:`SerialExecutor` in-process but by the worker main
+  loop under :class:`ParallelExecutor`; keeping harness frames would
+  make the payload depend on the executor and break the pinned
+  serial == parallel bit-exactness.  Frames from
+  ``repro/exec/supervisor.py`` are dropped; everything else (including
+  the deliberate raise sites in ``repro/exec/faultinject.py``) is
+  kept.
 * **Paths are repo-relative.**  Frame files are trimmed to their
   ``repro/...`` suffix (or basename) so a journal written by a
   subprocess compares equal to one written in-process.
@@ -33,7 +33,7 @@ _MAX_FRAMES = 12
 
 #: Harness files whose frames differ between executors (see module
 #: docstring) and are therefore excluded from payloads.
-_HARNESS_SUFFIXES = ("repro/exec/executors.py", "repro/exec/supervisor.py")
+_HARNESS_SUFFIXES = ("repro/exec/supervisor.py",)
 
 #: Path component used to relativise frame filenames.
 _PACKAGE_MARKER = "/repro/"

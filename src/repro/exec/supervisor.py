@@ -1,31 +1,41 @@
-"""Run supervision: deadlines, retries, and dead-worker recovery.
+"""Campaign executors: one serial, one parallel, both supervised.
 
-The plain executors trust their workers completely: a hung scenario
-stalls the campaign forever and a SIGKILLed worker used to tear the
-whole journaled campaign down.  This module is the layer that absorbs
-those failures instead of propagating them — the same
-retry/rollback/timeout discipline the migration executor applies to one
-NF move, lifted to the campaign harness:
+Both executors expose one generator, ``map(campaign, requests)``,
+yielding ``(index, payload)`` pairs **in completion order** — the
+driver journals completions as they land and merges by index at the
+end, so the merged result is identical whichever executor ran.  Both
+run under a :class:`SupervisionPolicy`; the default policy is one
+attempt, no deadline, no abort budget.  Every campaign goes through
+the same failure handling at every worker count:
 
-* **Deadlines** — :class:`SupervisedParallelExecutor` enforces a
-  per-run wall-clock budget *in the parent*: a worker past its deadline
-  is killed, a replacement is spawned, and the in-flight request is
+* **Deadlines** — :class:`ParallelExecutor` enforces a per-run
+  wall-clock budget *in the parent*: a worker past its deadline is
+  killed, a replacement is spawned, and the in-flight request is
   requeued (or quarantined once its attempts are spent).
 * **Dead-worker recovery** — a worker that exits mid-run (OOM kill,
   ``exit(137)``, segfault) is detected through its process sentinel,
   the failure is attributed to exactly the request it was running, and
-  the pool is rebuilt by respawning that slot.
+  the pool is rebuilt by respawning that slot.  A worker whose parent
+  dies exits instead of waiting for work forever.
 * **Bounded deterministic retry** — each failed or timed-out request is
   retried up to :attr:`SupervisionPolicy.max_attempts` with
   seed-derived exponential backoff (never wall-clock-seeded); every
   failed attempt is reported through the event sink, which the campaign
   driver journals as a ``run-attempt`` record.
 * **Quarantine** — a request that exhausts its attempts flows through
-  the campaign's ``error_payload`` hook, so the campaign completes with
-  a recorded ``scenario-error`` instead of dying.
+  the campaign's ``error_payload`` hook, so a campaign with a violation
+  vocabulary completes with a recorded ``scenario-error``; the default
+  hook raises :class:`~repro.errors.ExecutionError` instead.
 * **Abort budget** — :meth:`SupervisionPolicy.failures_exceeded` gives
   the driver its stop rule: too many quarantined runs and the campaign
   aborts cleanly with a ``campaign-abort`` journal record.
+
+The parallel executor ships only JSON across the process boundary: the
+campaign's ``(kind, spec)`` and each request's dict go out, payload
+dicts come back.  Workers rebuild the campaign from its spec
+(:func:`repro.exec.campaign.build_campaign`) and construct every
+scenario on their side — no engine, event queue, or RNG is ever
+pickled (lint rule ``DET106``).
 
 Determinism contract: supervision changes *when and where* a request
 executes, never *what it produces*.  A retried request re-runs from its
@@ -41,13 +51,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from multiprocessing import Pipe, Process, connection
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from multiprocessing import Pipe, Process, connection, parent_process
+from typing import (Callable, Dict, Iterator, List, Optional, Protocol,
+                    Tuple)
 
 from ..errors import ConfigurationError, ExecutionError
 from .campaign import Campaign, RunRequest, build_campaign
 from .errinfo import exception_payload
-from .executors import Completion
+
+#: Yield type of ``Executor.map``: (request index, result payload).
+Completion = Tuple[int, Dict[str, object]]
 
 #: Attempt-outcome vocabulary, journaled in ``run-attempt`` records.
 ATTEMPT_TIMEOUT = "timeout"
@@ -122,12 +135,6 @@ class SupervisionPolicy:
         if not 0.0 <= self.jitter_frac < 1.0:
             raise ConfigurationError("jitter fraction must be in [0, 1)")
 
-    @property
-    def active(self) -> bool:
-        """Whether this policy changes anything over plain execution."""
-        return (self.run_timeout_s is not None or self.max_attempts > 1
-                or self.max_failures is not None)
-
     def backoff_s(self, seed: int, attempt: int) -> float:
         """Delay before re-dispatching ``attempt + 1`` of a request.
 
@@ -195,24 +202,32 @@ def _set_current_attempt(attempt: int) -> None:
     _CURRENT_ATTEMPT = attempt
 
 
-# --- serial supervision ------------------------------------------------
+# --- executors ---------------------------------------------------------
 
 
-class SupervisedSerialExecutor:
-    """In-process execution with bounded retry and quarantine.
+class Executor(Protocol):
+    """How a campaign's pending requests get executed."""
 
-    Deadlines need process isolation — a hung run cannot preempt
-    itself — so ``run_timeout_s`` is not enforced here; retry,
-    quarantine, and the driver's abort budget are.  Retries re-run
-    immediately (backoff pacing protects a pool's capacity, of which a
-    serial loop has none).  ``KeyboardInterrupt`` propagates, so an
-    interrupted campaign leaves a resumable journal behind.
-    """
+    #: Worker count (1 for the serial executor); reports/benches record it.
+    workers: int
+    #: The failure handling every request runs under.
+    policy: SupervisionPolicy
+
+    def set_event_sink(self, sink: EventSink) -> None:
+        """Route failed-attempt records to ``sink`` (driver journaling)."""
+
+    def map(self, campaign: Campaign,
+            requests: List[RunRequest]) -> Iterator[Completion]:
+        """Yield ``(index, payload)`` per request, in completion order."""
+
+
+class _SupervisedExecutor:
+    """The policy and event sink both executors share."""
 
     workers = 1
 
-    def __init__(self, policy: SupervisionPolicy) -> None:
-        self.policy = policy
+    def __init__(self, policy: Optional[SupervisionPolicy] = None) -> None:
+        self.policy = policy if policy is not None else SupervisionPolicy()
         self._sink: Optional[EventSink] = None
 
     def set_event_sink(self, sink: EventSink) -> None:
@@ -223,6 +238,18 @@ class SupervisedSerialExecutor:
         if self._sink is not None:
             self._sink(record)
 
+
+class SerialExecutor(_SupervisedExecutor):
+    """In-process, in-order execution with bounded retry and quarantine.
+
+    Deadlines need process isolation — a hung run cannot preempt
+    itself — so ``run_timeout_s`` is not enforced here; retry,
+    quarantine, and the driver's abort budget are.  Retries re-run
+    immediately (backoff pacing protects a pool's capacity, of which a
+    serial loop has none).  ``KeyboardInterrupt`` propagates, so an
+    interrupted campaign leaves a resumable journal behind.
+    """
+
     def map(self, campaign: Campaign,
             requests: List[RunRequest]) -> Iterator[Completion]:
         """Run each request in order, retrying failures in place."""
@@ -231,40 +258,48 @@ class SupervisedSerialExecutor:
 
     def _run_supervised(self, campaign: Campaign,
                         request: RunRequest) -> Completion:
-        policy = self.policy
-        outcome, detail = ATTEMPT_ERROR, "never attempted"
-        details: Optional[Dict[str, object]] = None
+        attempt = 0
         try:
-            for attempt in range(1, policy.max_attempts + 1):
+            while True:
+                attempt += 1
                 _set_current_attempt(attempt)
                 try:
                     payload = campaign.run_request(request)
                 # Crash isolation boundary: the failure becomes attempt
                 # data (and ultimately a quarantine payload), never a
-                # swallowed error.
+                # swallowed error.  Quarantining inside the ``except``
+                # keeps the original exception as ``__context__`` of
+                # anything ``error_payload`` raises.
                 except Exception as exc:  # repro: noqa[EXC402]
-                    outcome = ATTEMPT_ERROR
-                    detail = f"{type(exc).__name__}: {exc}"
-                    details = exception_payload(exc)
+                    quarantined = self._failed(
+                        campaign, request, attempt, ATTEMPT_ERROR,
+                        f"{type(exc).__name__}: {exc}",
+                        exception_payload(exc))
                 else:
                     if isinstance(payload, dict):
                         return request.index, payload
-                    outcome = ATTEMPT_GARBAGE
-                    detail = (f"run returned {type(payload).__name__}, "
-                              f"not a payload dict")
-                    details = None
-                self._emit(attempt_record(
-                    request, attempt, outcome, detail,
-                    requeued=attempt < policy.max_attempts))
-            return request.index, campaign.error_payload(
-                request,
-                _quarantine_error(outcome, detail, policy.max_attempts),
-                details=details)
+                    quarantined = self._failed(
+                        campaign, request, attempt, ATTEMPT_GARBAGE,
+                        f"run returned {type(payload).__name__}, "
+                        f"not a payload dict", None)
+                if quarantined is not None:
+                    return quarantined
         finally:
             _set_current_attempt(1)
 
-
-# --- parallel supervision ----------------------------------------------
+    def _failed(self, campaign: Campaign, request: RunRequest,
+                attempt: int, outcome: str, detail: str,
+                details: Optional[Dict[str, object]]
+                ) -> Optional[Completion]:
+        """Record a failed attempt; the quarantine once none are left."""
+        attempts = self.policy.max_attempts
+        self._emit(attempt_record(request, attempt, outcome, detail,
+                                  requeued=attempt < attempts))
+        if attempt < attempts:
+            return None
+        return request.index, campaign.error_payload(
+            request, _quarantine_error(outcome, detail, attempts),
+            details=details)
 
 
 def _supervised_worker_main(kind: str, spec: Dict[str, object],
@@ -272,13 +307,23 @@ def _supervised_worker_main(kind: str, spec: Dict[str, object],
     """Worker loop: recv ``(request_dict, attempt)``, send the result.
 
     Replies ``("ok", payload)`` or ``("error", description)``; a
-    ``None`` message (or a closed pipe) is the shutdown signal.  The
-    campaign is rebuilt from its JSON spec, exactly as the plain
-    parallel executor's workers do (lint rule ``DET106``).
+    ``None`` message, a closed pipe, or the parent's exit is the
+    shutdown signal.  The parent's exit must be watched for directly:
+    a forked worker inherits this pipe's parent end, and later siblings
+    hold copies of it too, so a SIGKILLed parent never shows up as EOF
+    here.  The campaign is rebuilt from its JSON spec (lint rule
+    ``DET106``).
     """
+    parent = parent_process()
+    watched: List[object] = [conn]
+    if parent is not None:
+        watched.append(parent.sentinel)
     try:
         campaign = build_campaign(kind, spec)
         while True:
+            ready = connection.wait(watched)
+            if parent is not None and parent.sentinel in ready:
+                return  # the parent is gone: nobody will read a result
             try:
                 item = conn.recv()
             except (EOFError, OSError):
@@ -365,37 +410,31 @@ def _take_eligible(queue: List[_Flight], now_s: float) -> Optional[_Flight]:
     return None
 
 
-class SupervisedParallelExecutor:
+class ParallelExecutor(_SupervisedExecutor):
     """Process-pool fan-out with deadlines, retry, and pool rebuild.
 
     Built directly on ``multiprocessing`` (one duplex pipe per worker)
-    rather than ``ProcessPoolExecutor``: supervision needs to know
+    rather than ``concurrent.futures``: supervision needs to know
     *which* request each worker is running so a death or deadline can
     be attributed to exactly one in-flight request, and needs to kill a
     hung worker outright — neither of which the pooled futures API
-    exposes.  Merge-by-index in the driver erases every scheduling
-    difference, so results remain bit-exact with serial execution.
+    exposes.  Every run's behaviour depends only on its request (seed
+    ``seed_for(campaign_seed, index)``), and merge-by-index in the
+    driver erases every scheduling difference, so results remain
+    bit-exact with serial execution.
     """
 
-    def __init__(self, workers: int, policy: SupervisionPolicy,
+    def __init__(self, workers: int,
+                 policy: Optional[SupervisionPolicy] = None,
                  clock: Optional[DeadlineClock] = None) -> None:
         if workers < 2:
             raise ConfigurationError(
-                "SupervisedParallelExecutor needs at least 2 workers "
-                "(use SupervisedSerialExecutor for 1)")
+                "ParallelExecutor needs at least 2 workers "
+                "(use SerialExecutor for 1)")
+        super().__init__(policy)
         self.workers = workers
-        self.policy = policy
         self._clock = clock if clock is not None else DeadlineClock()
-        self._sink: Optional[EventSink] = None
         self._idle_deaths = 0
-
-    def set_event_sink(self, sink: EventSink) -> None:
-        """Route failed-attempt records to ``sink`` (driver journaling)."""
-        self._sink = sink
-
-    def _emit(self, record: Dict[str, object]) -> None:
-        if self._sink is not None:
-            self._sink(record)
 
     def map(self, campaign: Campaign,
             requests: List[RunRequest]) -> Iterator[Completion]:
@@ -404,8 +443,9 @@ class SupervisedParallelExecutor:
             return
         kind = campaign.kind
         spec = campaign.spec()
-        # Fail before any worker starts if the campaign cannot be
-        # rebuilt from JSON, exactly as the plain executor does.
+        # Round-trip the spec through the registry eagerly: a campaign
+        # that cannot be rebuilt from JSON must fail before any worker
+        # starts, not midway through the pool.
         build_campaign(kind, spec)
         queue = [_Flight(request, 1, 0.0) for request in requests]
         remaining = len(requests)
@@ -507,14 +547,11 @@ class SupervisedParallelExecutor:
         try:
             message = slot.conn.recv()
         except (EOFError, OSError):
-            slots[position] = _spawn_worker(kind, spec)
-            _destroy_slot(slot)
-            if flight is None:
-                self._idle_death()
-            else:
-                self._fail(campaign, flight, ATTEMPT_WORKER_DEATH,
-                           "worker connection closed mid-run", queue,
-                           done)
+            # A torn pipe is a dying worker: report it as its sentinel
+            # would, so the quarantine detail does not depend on which
+            # of the two the wait saw first.
+            self._on_death(campaign, slots, position, queue, done, kind,
+                           spec)
             return
         slot.current = None
         slot.deadline_s = None
@@ -549,6 +586,7 @@ class SupervisedParallelExecutor:
         """A worker process exited: attribute, rebuild, requeue."""
         slot = slots[position]
         flight = slot.current
+        slot.process.join(timeout=1.0)  # reap it: exitcode is then known
         exitcode = slot.process.exitcode
         slots[position] = _spawn_worker(kind, spec)
         _destroy_slot(slot)
@@ -604,3 +642,17 @@ class SupervisedParallelExecutor:
                 f"supervised pool workers died {self._idle_deaths} times "
                 f"before accepting any work; giving up (is the campaign "
                 f"spec rebuildable worker-side?)")
+
+
+def make_executor(workers: int,
+                  policy: Optional[SupervisionPolicy] = None) -> Executor:
+    """The executor for a ``--workers N`` request (1 means serial).
+
+    ``policy`` defaults to ``SupervisionPolicy()``: one attempt, no
+    deadline, no abort budget.
+    """
+    if workers < 1:
+        raise ConfigurationError("worker count must be >= 1")
+    if workers == 1:
+        return SerialExecutor(policy)
+    return ParallelExecutor(workers, policy)

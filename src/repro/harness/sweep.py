@@ -191,10 +191,10 @@ def packet_size_sweep(scenario: Scenario,
     simulates the remainder; ``workers`` fans the sizes out to a
     process pool (canned scenarios and default policies only — both
     must be rebuildable from JSON on the worker side).  ``supervision``
-    selects the supervised executors (per-point deadlines, bounded
-    retry, dead-worker recovery) — note the sweep campaign has no
-    violation vocabulary, so a point that exhausts its attempts raises
-    rather than quarantining.
+    sets per-point deadlines, bounded retry and an abort budget (the
+    default is one attempt, no limits) — note the sweep campaign has
+    no violation vocabulary, so a point that exhausts its attempts
+    raises rather than quarantining.
     """
     campaign = SizeSweepCampaign(
         scenario=scenario, sizes=sizes, policies=policies,

@@ -38,16 +38,15 @@ class GridCampaign(Campaign):
         return {"index": request.index, "square": request.seed ** 2}
 
 
-class ShuffledExecutor:
+class ShuffledExecutor(SerialExecutor):
     """Serial execution, completions yielded in an arbitrary order.
 
     Models what a parallel executor's nondeterministic completion
     order does to the driver, without needing a process pool.
     """
 
-    workers = 1
-
     def __init__(self, order):
+        super().__init__()
         self.order = list(order)
 
     def map(self, campaign, requests):
@@ -88,12 +87,19 @@ class TestSerialExecutor:
         assert [index for index, _ in completions] == [0, 1, 2, 3]
 
     def test_exceptions_propagate(self):
+        # Under the default ``error_payload`` a raising run fails the
+        # campaign with an ExecutionError naming the run and the
+        # original message; the original exception stays reachable.
         class Exploding(GridCampaign):
             def run_request(self, request):
                 raise ValueError("boom")
         campaign = Exploding(runs=1)
-        with pytest.raises(ValueError, match="boom"):
+        with pytest.raises(ExecutionError,
+                           match=r"run 0 \(seed 3\) failed: "
+                                 r"ValueError: boom") as excinfo:
             list(SerialExecutor().map(campaign, campaign.requests()))
+        assert isinstance(excinfo.value.__context__, ValueError)
+        assert str(excinfo.value.__context__) == "boom"
 
 
 class TestMakeExecutor:

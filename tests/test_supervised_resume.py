@@ -1,11 +1,12 @@
 """Journal torn-tail recovery under the *supervised parallel* executor.
 
-The serial executors' torn-tail path is pinned by
+The serial executor's torn-tail path is pinned by
 ``tests/test_chaos_resume.py``; this module pins the same guarantees
 when the journal was written (and is resumed) by
-:class:`SupervisedParallelExecutor` — whose completions can land out of
-index order and whose attempt records interleave with run-results —
-including a SIGKILL landing while the journal is mid-append.
+:class:`ParallelExecutor` — whose completions can land out of index
+order and whose attempt records interleave with run-results —
+including a SIGKILL landing while the journal is mid-append, and that
+the workers of a SIGKILLed campaign exit with it.
 """
 
 import os
@@ -158,3 +159,79 @@ class TestSupervisedParallelSigkill:
         kinds = [r["kind"] for r in read_journal(journal).records]
         assert kinds.count("run-result") == 4
         assert kinds[-1] == "campaign-end"
+
+
+def _children_of(pid):
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            state = _proc_stat(int(entry))
+            if state is not None and state[1] == pid:
+                children.append(int(entry))
+    return children
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of a process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _exited(pid):
+    """Whether ``pid`` has exited (a zombie waiting to be reaped has)."""
+    state = _proc_stat(pid)
+    return state is None or state[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or
+                    not hasattr(signal, "SIGKILL"),
+                    reason="requires /proc and POSIX SIGKILL")
+class TestWorkersExitWithTheirParent:
+    """Campaign workers must not outlive a SIGKILLed parent.
+
+    A forked worker inherits its siblings' pipe ends (and its own
+    pipe's parent end), so it never sees EOF when the parent dies; it
+    has to watch the parent itself.  The workers may finish the run
+    they hold, then must exit.
+    """
+
+    @pytest.mark.parametrize("extra", [[], ["--max-attempts", "2"]],
+                             ids=["default-policy", "max-attempts-2"])
+    def test_workers_exit_after_parent_sigkill(self, extra):
+        src_root = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src_root)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        command = [sys.executable, "-m", "repro", "chaos",
+                   "--runs", "6", "--duration", "0.04",
+                   "--workers", "2", *extra]
+        process = subprocess.Popen(command, env=env,
+                                   stdout=subprocess.DEVNULL,
+                                   stderr=subprocess.DEVNULL)
+        children = []
+        try:
+            for _ in range(_MAX_POLLS):
+                children = _children_of(process.pid)
+                if len(children) >= 2 or process.poll() is not None:
+                    break
+                time.sleep(_POLL_INTERVAL_S)
+            assert process.poll() is None, "campaign ended before the kill"
+            assert len(children) >= 2
+            process.send_signal(signal.SIGKILL)
+        finally:
+            process.wait()
+        survivors = children
+        for _ in range(_MAX_POLLS):
+            survivors = [pid for pid in survivors if not _exited(pid)]
+            if not survivors:
+                break
+            time.sleep(_POLL_INTERVAL_S)
+        for pid in survivors:  # never leave orphans behind on failure
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []

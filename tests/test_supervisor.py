@@ -2,7 +2,7 @@
 
 The supervisor's contract is that it changes *when and where* a request
 executes, never *what it produces*: every test here compares a
-supervised (and usually sabotaged) campaign against an unsupervised
+supervised (and usually sabotaged) campaign against an unfaulted
 serial reference and expects bit-exact payloads — plus the journal
 trail (``run-attempt`` / ``campaign-abort``) that makes the recovery
 auditable and resumable.
@@ -17,11 +17,12 @@ from repro.chaos.runner import ChaosConfig, ChaosRunner
 from repro.checkpoint import read_journal
 from repro.errors import CampaignAborted, ConfigurationError, ExecutionError
 from repro.exec import (Campaign, FaultInjectedCampaign, FaultPlan,
-                        RunRequest, SerialExecutor,
-                        SupervisedParallelExecutor, SupervisedSerialExecutor,
-                        SupervisionPolicy, WorkerFault, make_executor,
-                        register_campaign, run_campaign, seed_for)
+                        RunRequest, SerialExecutor, SupervisionPolicy,
+                        WorkerFault, make_executor, register_campaign,
+                        run_campaign, seed_for)
 from repro.exec.driver import replay_campaign_journal
+from repro.reliability import ReliabilityCampaign
+from repro.resilience.campaign import ResilienceCampaign
 
 #: Short enough for CI, long enough for faults and a migration to land.
 _DURATION_S = 0.01
@@ -91,12 +92,6 @@ class TestSupervisionPolicy:
         with pytest.raises(ConfigurationError):
             SupervisionPolicy(jitter_frac=1.0)
 
-    def test_inert_unless_something_is_configured(self):
-        assert not SupervisionPolicy().active
-        assert SupervisionPolicy(max_attempts=2).active
-        assert SupervisionPolicy(run_timeout_s=1.0).active
-        assert SupervisionPolicy(max_failures=3).active
-
     def test_backoff_is_seed_derived_and_capped(self):
         policy = SupervisionPolicy(backoff_base_s=0.1,
                                    backoff_multiplier=2.0,
@@ -121,19 +116,20 @@ class TestSupervisionPolicy:
 
 
 class TestMakeExecutorPolicy:
-    def test_none_policy_keeps_plain_executors(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+    def test_none_policy_is_the_default_policy(self):
+        # One attempt, no deadline, no abort budget.
+        for workers in (1, 2):
+            policy = make_executor(workers).policy
+            assert policy == SupervisionPolicy()
+            assert policy.max_attempts == 1
+            assert policy.run_timeout_s is None
+            assert policy.max_failures is None
 
-    def test_inert_policy_keeps_plain_executors(self):
-        assert isinstance(make_executor(1, SupervisionPolicy()),
-                          SerialExecutor)
-
-    def test_active_policy_selects_supervised(self):
+    def test_policy_reaches_the_executor(self):
         policy = _policy()
-        assert isinstance(make_executor(1, policy),
-                          SupervisedSerialExecutor)
+        assert make_executor(1, policy).policy is policy
         executor = make_executor(2, policy)
-        assert isinstance(executor, SupervisedParallelExecutor)
+        assert executor.policy is policy
         assert executor.workers == 2
 
 
@@ -282,6 +278,19 @@ class TestParallelSupervision:
         assert violations[0]["invariant"] == "scenario-error"
         assert "worker" in violations[0]["detail"]
 
+    def test_worker_death_under_default_policy_names_the_exit_code(self):
+        # A dead worker is a quarantined worker-death, not a campaign
+        # abort.  Its torn pipe and its sentinel race in the wait;
+        # either way the detail reports the reaped exit code, so the
+        # payload is the same on every run.
+        campaign = FaultInjectedCampaign(QuarantineGrid(2),
+                                         FaultPlan.parse_all(["1:die"]))
+        for _ in range(3):
+            outcome = run_campaign(campaign, executor=make_executor(2))
+            assert outcome.payloads[1]["scenario-error"] == (
+                "worker exited with code 137 "
+                "(worker-death after 1 attempt)")
+
     def test_quarantine_renders_identically_serial_and_parallel(self):
         # The quarantined payload is built from configured values only,
         # so the supervised serial and parallel executors must produce
@@ -309,6 +318,31 @@ class TestParallelSupervision:
             QuarantineGrid(3), FaultPlan.parse_all(["1:garbage:1"]))
         outcome = run_campaign(campaign, executor=make_executor(2, _policy()))
         assert outcome.payloads == reference
+
+
+class TestCrashPathSerialEqualsParallel:
+    """A raising run is quarantined the same way at every worker count,
+    under the default policy, for the campaign kinds whose runs used to
+    kill a serial campaign but quarantine a parallel one."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ResilienceCampaign("device-kill", runs=2, seed=5,
+                                   duration_s=_DURATION_S),
+        lambda: ReliabilityCampaign(scenario="device-kill",
+                                    policies=("joint",), runs=2, seed=7,
+                                    duration_s=_DURATION_S),
+    ], ids=["resilience", "reliability"])
+    def test_raising_run_quarantines_identically(self, build):
+        campaign = FaultInjectedCampaign(build(),
+                                         FaultPlan.parse_all(["0:error"]))
+        serial = run_campaign(campaign, executor=make_executor(1))
+        parallel = run_campaign(campaign, executor=make_executor(2))
+        assert parallel.payloads == serial.payloads
+        violations = serial.payloads[0]["violations"]
+        assert [v["invariant"] for v in violations] == ["scenario-error"]
+        assert violations[0]["detail"].endswith("(error after 1 attempt)")
+        assert not any(v["invariant"] == "scenario-error"
+                       for v in serial.payloads[1]["violations"])
 
 
 class TestAbortBudget:
@@ -377,8 +411,7 @@ class TestStructuredQuarantineDetails:
         # The raise site (faultinject) is kept; the executor harness
         # frames are filtered so serial == parallel stays bit-exact.
         assert any(f.endswith("faultinject.py") for f in files)
-        assert not any(f.endswith("supervisor.py")
-                       or f.endswith("executors.py") for f in files)
+        assert not any(f.endswith("supervisor.py") for f in files)
 
     def test_quarantine_details_identical_across_executors(self):
         campaign = _chaos_campaign(runs=2, faults=["1:error"])
@@ -389,7 +422,8 @@ class TestStructuredQuarantineDetails:
         assert serial.payloads == parallel.payloads
 
     def test_plain_parallel_error_payload_carries_frames(self):
-        # The unsupervised pool forwards the same structured payload.
+        # The pool forwards the same structured payload under the
+        # default policy (no supervision flags).
         campaign = _chaos_campaign(runs=2, faults=["0:error"])
         outcome = run_campaign(campaign, executor=make_executor(2, None))
         violation = self._quarantine_violation(outcome.payloads[0])
